@@ -30,7 +30,13 @@ run cargo test -q --workspace --exclude mobiquery-repro
 run cargo bench --no-run -q
 run cargo bench --no-run -q -p mobiquery-bench --bench ccp_election
 run cargo bench --no-run -q -p mobiquery-bench --bench tree_sharing
-run cargo bench --no-run -q -p mobiquery-bench --bench event_queue
+
+# The repository benchmark (perfbench/, its own package outside the
+# workspace) keeps its helper tests green: the Rust unit tests and the
+# steady-state detector's Python tests.
+run env CARGO_TARGET_DIR=target/perfbench cargo test -q --release \
+    --manifest-path perfbench/Cargo.toml
+run python3 perfbench/test_steady.py
 
 # The examples and the CLI must stay runnable, not just compilable.
 for ex in quickstart firefighter rescue_robot duty_cycle_tuning parallel_sweep; do
@@ -108,11 +114,11 @@ run cmp target/load-jobs1.json target/load-jobs4.json
 run cargo run --release -q --bin repro -- --quick --users 100 \
     --bench target/BENCH_repro.json --scale 1000,2000 all
 
-# bench/v8 sanity: schema, host metadata, per-phase setup breakdown, the
-# raster-election regression bound, the event-loop section (calendar-vs-
-# heap hold model, events/sec throughput, steady_allocs_per_period == 0,
-# and on the committed full sweep the multiuser serial hot loop and 20k
-# run beating the bench/v6 snapshot), the multi-user tree economy (shared
+# bench/v9 sanity: schema, host metadata, steady_allocs_per_period == 0,
+# per-phase setup breakdown, the raster-election regression bound, the
+# throughput fields (events/sec, installs+resolves/sec) and on the
+# committed full sweep the multiuser serial hot loop and 20k run beating
+# the bench/v6 snapshot, the multi-user tree economy (shared
 # cache strictly beating one-tree-per-user at 100+ user fleets), the churn
 # section (incremental repair beating full re-election at scale under
 # light churn), the service load section and the resilience ladder

@@ -6,12 +6,11 @@
 //! `v* ≈ 131 mph`) and the integration tests can cross-check the simulator
 //! against the bounds (storage cost, warm-up interval).
 
-use serde::{Deserialize, Serialize};
 use wsn_geom::mps_to_mph;
 
 /// Parameters shared by the Section 5 formulas. All times in seconds, all
 /// distances in metres, all speeds in metres per second.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AnalysisParams {
     /// Query period `Tperiod` (s).
     pub period_s: f64,

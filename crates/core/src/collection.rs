@@ -14,11 +14,10 @@
 //! the further a node is from the collector, the earlier it times out, so
 //! partial aggregates flow inward and arrive by the deadline.
 
-use serde::{Deserialize, Serialize};
 use wsn_sim::{Duration, SimTime};
 
 /// Parameters of the sub-deadline assignment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CollectionTiming {
     /// Query period `Tperiod`.
     pub period: Duration,

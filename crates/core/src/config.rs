@@ -9,7 +9,6 @@ use crate::analysis::AnalysisParams;
 use crate::error::ConfigError;
 use crate::prefetch::{PrefetchScheme, PrefetchTiming};
 use crate::query::{MessageSizes, QuerySpec};
-use serde::{Deserialize, Serialize};
 use wsn_geom::{Point, Rect};
 use wsn_mobility::{GpsModel, MotionConfig, ProfileSource};
 use wsn_net::{MacConfig, RadioConfig, SleepSchedule};
@@ -21,7 +20,7 @@ use wsn_sim::Duration;
 pub type Scheme = PrefetchScheme;
 
 /// A complete simulation scenario.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
     /// Number of sensor nodes deployed uniformly at random.
     pub node_count: usize,

@@ -16,12 +16,11 @@
 //! Greedy prefetching forwards immediately instead; No-Prefetching is the
 //! paper's baseline that broadcasts the query at the start of every period.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use wsn_sim::{Duration, SimTime};
 
 /// The prefetching scheme run by the network.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PrefetchScheme {
     /// Just-in-time prefetching (MQ-JIT): hold the prefetch message and
     /// forward it at the Equation-10 bound.
@@ -56,7 +55,7 @@ impl fmt::Display for PrefetchScheme {
 }
 
 /// The temporal parameters the forwarding bound depends on.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PrefetchTiming {
     /// Query period `Tperiod`.
     pub period: Duration,

@@ -8,12 +8,11 @@
 //! lifetime.
 
 use crate::error::ConfigError;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use wsn_sim::{Duration, SimTime};
 
 /// The in-network aggregation function `F` applied to sensor readings.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AggregateKind {
     /// Report the minimum reading in the area.
     Min,
@@ -72,7 +71,7 @@ impl fmt::Display for AggregateKind {
 ///
 /// The prefetch size (60 bytes) is the figure the paper uses in its `vprfh`
 /// estimate; the others are comparable small control/data frames.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MessageSizes {
     /// Prefetch message (query spec + motion profile).
     pub prefetch_bytes: usize,
@@ -96,7 +95,7 @@ impl Default for MessageSizes {
 }
 
 /// A spatiotemporal query issued by a mobile user.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuerySpec {
     /// The sensed quantity being queried (`α`), e.g. `"temperature"`.
     pub data_type: String,

@@ -1,11 +1,10 @@
 //! The results of one simulation run.
 
 use crate::config::Scheme;
-use serde::{Deserialize, Serialize};
 use wsn_metrics::QueryLog;
 
 /// Aggregated results of a single MobiQuery simulation run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SimulationOutput {
     /// The prefetching scheme that was run.
     pub scheme: Scheme,

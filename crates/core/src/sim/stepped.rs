@@ -55,6 +55,8 @@ fn cache_error(e: TreeCacheError) -> ConfigError {
 /// A query currently standing in the network.
 #[derive(Debug, Clone, Copy)]
 struct ActiveQuery {
+    /// Quantized pickup centre the tree was built around; fault recovery
+    /// rebuilds a crashed tree around it.
     center: Point,
     installed_at: SimTime,
     /// Cache handle in [`TreeSharing::Shared`] mode, `None` in naive mode
@@ -627,7 +629,6 @@ impl MultiUserWorld {
                 }
             }
         }
-        let _ = aq.center;
         contributing
     }
 

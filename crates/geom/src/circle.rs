@@ -1,7 +1,6 @@
 //! Circles: query areas, radio ranges and sensing ranges.
 
 use crate::{Point, Rect};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A circle defined by its centre and radius, in metres.
@@ -16,7 +15,7 @@ use std::fmt;
 /// assert!(area.contains(Point::new(100.0, 100.0)));
 /// assert!(!area.contains(Point::new(150.0, 150.0)));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Circle {
     /// Centre of the circle.
     pub center: Point,

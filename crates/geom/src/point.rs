@@ -1,7 +1,6 @@
 //! Points in the 2-D plane.
 
 use crate::Vector;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub, SubAssign};
 
@@ -19,7 +18,7 @@ use std::ops::{Add, AddAssign, Sub, SubAssign};
 /// assert_eq!(a.distance_to(b), 5.0);
 /// assert_eq!(b - a, Vector::new(3.0, 4.0));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Point {
     /// Horizontal coordinate in metres.
     pub x: f64,

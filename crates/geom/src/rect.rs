@@ -1,7 +1,6 @@
 //! Axis-aligned rectangles: deployment regions.
 
 use crate::Point;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An axis-aligned rectangle, in metres.
@@ -17,7 +16,7 @@ use std::fmt;
 /// assert!(region.contains(Point::new(225.0, 10.0)));
 /// assert_eq!(region.area(), 450.0 * 450.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Rect {
     /// Smallest x coordinate.
     pub min_x: f64,

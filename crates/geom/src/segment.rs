@@ -1,7 +1,6 @@
 //! Line segments: legs of the mobile user's path.
 
 use crate::{Point, Vector};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A directed line segment from `start` to `end`.
@@ -16,7 +15,7 @@ use std::fmt;
 /// assert_eq!(leg.length(), 100.0);
 /// assert_eq!(leg.point_at(0.25), Point::new(25.0, 0.0));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Segment {
     /// Starting point.
     pub start: Point,

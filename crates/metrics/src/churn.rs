@@ -7,10 +7,8 @@
 //! deterministic fields (everything except the wall-clock timings) are what
 //! the CI determinism gate compares across `--jobs` settings.
 
-use serde::{Deserialize, Serialize};
-
 /// What one churn batch did and what its incremental repair cost.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChurnBatch {
     /// Period boundary the batch fired at.
     pub boundary: u64,
@@ -40,7 +38,7 @@ pub struct ChurnBatch {
 }
 
 /// Aggregate of a run's [`ChurnBatch`] records.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChurnSummary {
     /// Number of churn batches applied.
     pub batches: usize,

@@ -6,10 +6,9 @@
 //! to one [`UserSummary`] per user, keyed by the user's fleet index.
 
 use crate::query::QueryLog;
-use serde::{Deserialize, Serialize};
 
 /// The per-user outcome of one multi-user trial.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UserSummary {
     /// Fleet index of the user.
     pub user: usize,

@@ -1,11 +1,10 @@
 //! Per-query outcome records and their aggregation.
 
-use serde::{Deserialize, Serialize};
 use wsn_sim::stats::Summary;
 use wsn_sim::{Duration, SimTime};
 
 /// The outcome of one periodic query (one pickup point).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueryRecord {
     /// Sequence number `k` of the query (1-based, as in the paper's
     /// "k-th result is due at k·Tperiod").
@@ -63,7 +62,7 @@ impl QueryRecord {
 }
 
 /// The log of every query issued during one simulation run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct QueryLog {
     records: Vec<QueryRecord>,
 }

@@ -10,10 +10,9 @@
 //! the CI chaos gate across `--jobs` settings.
 
 use crate::query::QueryLog;
-use serde::{Deserialize, Serialize};
 
 /// What one boundary's fault batch injected and what recovery did.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultBatch {
     /// Period boundary the batch fired at.
     pub boundary: u64,
@@ -44,7 +43,7 @@ pub struct FaultBatch {
 }
 
 /// Aggregate of a run's [`FaultBatch`] records.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResilienceSummary {
     /// Number of fault batches applied (one per boundary).
     pub batches: usize,
@@ -99,7 +98,7 @@ impl ResilienceSummary {
 
 /// How long the service takes to climb back after faults knock a user's
 /// results out: the lengths of maximal streaks of undelivered periods.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecoveryLatency {
     /// Number of outages (maximal missed-period streaks) across all users.
     pub outages: usize,

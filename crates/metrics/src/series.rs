@@ -1,11 +1,10 @@
 //! Labelled numeric series, the data behind the paper's line plots.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use wsn_sim::stats::Summary;
 
 /// A named series of `(x, y)` points, e.g. "MQ-JIT data fidelity per period".
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Series {
     name: String,
     points: Vec<(f64, f64)>,

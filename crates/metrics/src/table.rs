@@ -4,11 +4,10 @@
 //! formatting here means the benches, the `repro` binary and the examples all
 //! produce identical output.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A simple rectangular table of strings with a header row.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Table {
     title: String,
     header: Vec<String>,

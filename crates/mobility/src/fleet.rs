@@ -13,7 +13,6 @@
 use crate::profile::MotionProfile;
 use crate::source::ProfileSource;
 use crate::user::{MotionConfig, UserMotion};
-use serde::{Deserialize, Serialize};
 use wsn_geom::Point;
 use wsn_sim::{mix_seed, SimRng};
 
@@ -22,7 +21,7 @@ use wsn_sim::{mix_seed, SimRng};
 pub const FLEET_STREAM: u64 = 0xF1EE_7000_0000_0001;
 
 /// One user of a multi-user trial: trajectory plus delivered profiles.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetMember {
     /// The user's index within the fleet, `0..users`.
     pub index: usize,

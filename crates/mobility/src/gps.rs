@@ -6,7 +6,6 @@
 //! position by a vector whose direction is uniform and whose magnitude is
 //! uniform in `[0, Δ]`.
 
-use serde::{Deserialize, Serialize};
 use wsn_geom::{Point, Vector};
 use wsn_sim::SimRng;
 
@@ -14,7 +13,7 @@ use wsn_sim::SimRng;
 /// latency (the paper quotes a 2–3 s lag for a walking user and ~8 s to get
 /// an initial fix; the predictor's sampling period models the latency, so the
 /// default lag here is zero).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpsModel {
     /// Maximum position error Δ in metres; each reading errs by a uniformly
     /// random distance in `[0, Δ]` in a uniformly random direction.

@@ -1,12 +1,11 @@
 //! Piecewise-constant-velocity paths.
 
-use serde::{Deserialize, Serialize};
 use wsn_geom::{Point, Vector};
 use wsn_sim::{Duration, SimTime};
 
 /// One leg of a path: starting at `start` at `start_time`, moving with
 /// constant `velocity` for `duration`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MotionLeg {
     /// When the leg begins.
     pub start_time: SimTime,
@@ -44,7 +43,7 @@ impl MotionLeg {
 /// the last leg extrapolate along the final leg's velocity (dead reckoning),
 /// which is exactly how a motion profile is used after its validity interval
 /// when no fresher profile has arrived.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct MotionPath {
     legs: Vec<MotionLeg>,
 }

@@ -8,12 +8,11 @@
 //! available one sampling period after the motion change it describes).
 
 use crate::path::MotionPath;
-use serde::{Deserialize, Serialize};
 use wsn_geom::{Point, Vector};
 use wsn_sim::{Duration, SimTime};
 
 /// A predicted user path with its timing parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MotionProfile {
     /// When the profile was generated / becomes available to the proxy (`tg`).
     pub generated_at: SimTime,

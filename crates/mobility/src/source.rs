@@ -14,11 +14,10 @@
 use crate::gps::GpsModel;
 use crate::profile::MotionProfile;
 use crate::user::UserMotion;
-use serde::{Deserialize, Serialize};
 use wsn_sim::{Duration, SimRng, SimTime};
 
 /// How motion profiles are produced for a simulation run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ProfileSource {
     /// A motion planner with exact knowledge of the future path, publishing
     /// each profile `advance_secs` before the motion change it describes

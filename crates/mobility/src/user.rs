@@ -9,12 +9,11 @@
 //! motion profile.
 
 use crate::path::{MotionLeg, MotionPath};
-use serde::{Deserialize, Serialize};
 use wsn_geom::{Point, Rect, Vector};
 use wsn_sim::{Duration, SimRng, SimTime};
 
 /// Parameters of the user's random motion.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MotionConfig {
     /// Deployment region the user stays inside.
     pub region: Rect,
@@ -72,7 +71,7 @@ impl Default for MotionConfig {
 }
 
 /// One motion change: the instant the user adopts a new constant velocity.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MotionEvent {
     /// When the change happens.
     pub time: SimTime,
@@ -83,7 +82,7 @@ pub struct MotionEvent {
 }
 
 /// The complete ground-truth trajectory of the user for one simulation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UserMotion {
     path: MotionPath,
     events: Vec<MotionEvent>,

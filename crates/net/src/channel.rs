@@ -9,12 +9,11 @@
 use crate::mac::{ContentionTracker, MacConfig};
 use crate::node::NodeId;
 use crate::radio::RadioConfig;
-use serde::{Deserialize, Serialize};
 use wsn_geom::Point;
 use wsn_sim::{Duration, SimRng, SimTime};
 
 /// The outcome of attempting one hop over the channel.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HopOutcome {
     /// Whether the frame was received (not lost to contention).
     pub delivered: bool,

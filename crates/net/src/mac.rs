@@ -15,12 +15,11 @@
 //! Figure 4's MQ-GP degradation show.
 
 use crate::node::NodeId;
-use serde::{Deserialize, Serialize};
 use wsn_geom::Point;
 use wsn_sim::{Duration, SimRng, SimTime};
 
 /// MAC parameters shared by all nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MacConfig {
     /// Fixed per-frame MAC/PHY header overhead, in bytes.
     pub header_bytes: usize,

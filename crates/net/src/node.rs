@@ -1,6 +1,5 @@
 //! Node identity and roles.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a sensor node: an index into the deployment's node list.
@@ -8,9 +7,7 @@ use std::fmt;
 /// Using a newtype (rather than a bare `usize`) keeps node indices from being
 /// confused with hop counts, sequence numbers and the other small integers
 /// that flow through protocol code.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct NodeId(pub usize);
 
 impl NodeId {
@@ -44,7 +41,7 @@ impl From<NodeId> for usize {
 /// small **backbone** of always-active nodes that preserves connectivity and
 /// sensing coverage, while every other node runs a low duty cycle and sleeps
 /// most of the time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NodeRole {
     /// Always-active backbone node; relays traffic with no wake-up delay.
     Backbone,

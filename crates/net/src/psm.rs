@@ -8,7 +8,6 @@
 //! buffering delay (up to a full sleep period) is precisely why prefetching is
 //! needed, so this module is the heart of the reproduction's temporal model.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use wsn_sim::{Duration, SimTime};
 
@@ -28,7 +27,7 @@ use wsn_sim::{Duration, SimTime};
 /// assert_eq!(s.next_wake(SimTime::from_secs(5)), SimTime::from_secs(15));
 /// assert!((s.duty_cycle() - 0.1 / 15.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SleepSchedule {
     period: Duration,
     active_window: Duration,

@@ -1,6 +1,5 @@
 //! Radio configuration, states and power profiles.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use wsn_sim::Duration;
 
@@ -8,7 +7,7 @@ use wsn_sim::Duration;
 ///
 /// Energy accounting integrates the time spent in each state against a
 /// [`RadioPowerProfile`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RadioState {
     /// Actively transmitting a frame.
     Transmit,
@@ -37,7 +36,7 @@ impl fmt::Display for RadioState {
 /// The defaults are the Cabletron 802.11 card measurements the paper adopts
 /// from Chen et al. (SPAN): 1400 mW transmit, 1000 mW receive, 830 mW idle and
 /// 130 mW sleep. A MICA2-class profile is provided for the analysis examples.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RadioPowerProfile {
     /// Transmit power draw (mW).
     pub tx_mw: f64,
@@ -91,7 +90,7 @@ impl Default for RadioPowerProfile {
 }
 
 /// Static radio parameters shared by every node in a deployment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RadioConfig {
     /// Communication range in metres (unit-disk model). Paper default: 105 m.
     pub comm_range_m: f64,

@@ -8,13 +8,12 @@
 
 use crate::neighbors::NeighborTable;
 use crate::node::NodeId;
-use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 use wsn_geom::Point;
 
 /// Why a route could not be completed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum RouteError {
     /// Greedy forwarding reached a node with no neighbour closer to the
     /// destination (a routing void) before entering the acceptance radius.
@@ -46,7 +45,7 @@ impl fmt::Display for RouteError {
 impl Error for RouteError {}
 
 /// A completed route: the sequence of nodes a message traverses.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RoutePath {
     /// Nodes visited, starting with the source and ending with the node that
     /// accepted the message.

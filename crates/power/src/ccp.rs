@@ -26,13 +26,12 @@
 
 use crate::plan::PowerPlan;
 use crate::raster::CoverageRaster;
-use serde::{Deserialize, Serialize};
 use wsn_geom::{Circle, Lattice, Point, Rect, SpatialGrid};
 use wsn_net::{NodeRole, SleepSchedule};
 use wsn_sim::SimRng;
 
 /// Parameters of the CCP-style election.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CcpConfig {
     /// Sensing range of every node, in metres. Paper default: 50 m.
     pub sensing_range_m: f64,

@@ -6,12 +6,11 @@
 //! a [`RadioPowerProfile`], which is exactly how ns-2's energy model produces
 //! those numbers.
 
-use serde::{Deserialize, Serialize};
 use wsn_net::{NodeId, RadioPowerProfile, RadioState};
 use wsn_sim::{Duration, SimTime};
 
 /// Accumulated radio-state residency and energy for one node.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct NodeEnergy {
     /// Time spent transmitting.
     pub tx_time: Duration,
@@ -61,7 +60,7 @@ impl NodeEnergy {
 /// let p = ledger.average_power_w(NodeId(0));
 /// assert!(p > 0.13 && p < 0.83, "between pure sleep and pure idle, got {p}");
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EnergyLedger {
     profile: RadioPowerProfile,
     nodes: Vec<NodeEnergy>,

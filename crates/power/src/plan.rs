@@ -1,13 +1,12 @@
 //! The combined power plan: per-node roles and sleep schedules.
 
-use serde::{Deserialize, Serialize};
 use wsn_net::{NodeId, NodeRole, SleepSchedule};
 use wsn_sim::{Duration, SimTime};
 
 /// The output of a power-management protocol, as consumed by the protocol
 /// simulation: which nodes form the always-awake backbone and what schedule
 /// the remaining duty-cycled nodes follow.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PowerPlan {
     roles: Vec<NodeRole>,
     schedule: SleepSchedule,

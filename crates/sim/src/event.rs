@@ -1,24 +1,11 @@
-//! The pending-event queue.
-//!
-//! Two implementations share one contract (pop order is the total order
-//! `(time, seq)`, i.e. time order with FIFO tie-breaking):
-//!
-//! - [`EventQueue`] — a calendar queue (timing wheel), the textbook
-//!   discrete-event scheduler: O(1) amortized insert/pop over bucketed
-//!   time bands, and **allocation-free in steady state** (buckets retain
-//!   their capacity, the bucket array only ever grows).
-//! - [`HeapEventQueue`] — the original `BinaryHeap` scheduler, kept as the
-//!   equality-asserted reference (property tests and the `event_queue`
-//!   criterion bench drive both and assert identical pop sequences).
-//!
-//! Because both orders are the same total order, swapping the calendar queue
-//! in changes no simulation output — golden fixtures stay byte-identical.
+//! The pending-event queue: a `BinaryHeap` scheduler whose pop order is the
+//! total order `(time, seq)`, i.e. time order with FIFO tie-breaking.
 
 use crate::time::{Duration, SimTime};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// An event scheduled for execution, as stored in the queues.
+/// An event scheduled for execution, as stored in the queue.
 #[derive(Debug, Clone)]
 pub struct ScheduledEvent<E> {
     /// When the event fires.
@@ -54,27 +41,10 @@ impl<E> Ord for ScheduledEvent<E> {
     }
 }
 
-/// Initial width of one calendar "day", as a power-of-two shift of
-/// microseconds: 2^14 µs ≈ 16.4 ms. Every growth re-estimates the shift from
-/// the pending-event spread (see [`EventQueue::grow`]), the calendar queue's
-/// classic width adaptation.
-const INITIAL_SHIFT: u32 = 14;
-
-/// Initial bucket count (power of two, required by the mask arithmetic).
-const INITIAL_BUCKETS: usize = 16;
-
-/// Grow the bucket array when the queue holds more than this many events per
-/// bucket on average. Growth doubles the array, so the amortized cost per
-/// insert is O(1) and a bounded steady-state population never grows again.
-const MAX_LOAD: usize = 4;
-
-/// A priority queue of future events, ordered by time then insertion order,
-/// implemented as a calendar queue (timing wheel).
+/// A priority queue of future events, ordered by time then insertion order.
 ///
 /// The queue tracks the current simulation time: events may only be scheduled
 /// at or after "now", which catches causality bugs in protocol code early.
-/// That same invariant is what lets `pop` start its bucket scan at the day
-/// containing "now" with no separate cursor state.
 ///
 /// ```
 /// use wsn_sim::{Duration, EventQueue, SimTime};
@@ -88,32 +58,7 @@ const MAX_LOAD: usize = 4;
 /// ```
 #[derive(Debug, Clone)]
 pub struct EventQueue<E> {
-    /// `buckets[day & mask]` holds every pending event of that day (events
-    /// whole revolutions apart share a bucket and are told apart by their
-    /// timestamps). Buckets are unsorted; selection is by `(time, seq)`
-    /// comparison, so `swap_remove` is safe and no per-pop sort is needed.
-    buckets: Vec<Vec<ScheduledEvent<E>>>,
-    /// Events scheduled beyond the wheel's horizon (one full revolution from
-    /// now). Far-future outliers would otherwise pollute every bucket scan
-    /// and stretch the width estimate; parking them in a side-heap keeps the
-    /// wheel dense. They pop straight from the heap when their time comes —
-    /// both structures honour the same `(time, seq)` total order, so the
-    /// overall pop order is the min of the two fronts. Like the buckets, the
-    /// heap keeps its capacity: no steady-state allocation.
-    overflow: BinaryHeap<ScheduledEvent<E>>,
-    /// Pending event count across wheel and overflow.
-    len: usize,
-    /// Pending events in the wheel alone (`find_next` early-outs on zero).
-    wheel_len: usize,
-    /// Location of the minimum *wheel* event: `(time, seq, bucket, slot)`.
-    /// `Some` iff `wheel_len > 0`; maintained eagerly so `peek_time` is O(1)
-    /// and each event is scanned for exactly once, on the pop that removes
-    /// its predecessor. The true front is the min of this and the overflow
-    /// heap's peek.
-    next: Option<(SimTime, u64, usize, usize)>,
-    /// Current day width as a power-of-two shift of microseconds
-    /// (`day = micros >> shift`); re-estimated at every growth.
-    shift: u32,
+    heap: BinaryHeap<ScheduledEvent<E>>,
     now: SimTime,
     next_seq: u64,
     scheduled_total: u64,
@@ -129,252 +74,6 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue with the clock at [`SimTime::ZERO`].
     pub fn new() -> Self {
         EventQueue {
-            buckets: (0..INITIAL_BUCKETS).map(|_| Vec::new()).collect(),
-            overflow: BinaryHeap::new(),
-            len: 0,
-            wheel_len: 0,
-            next: None,
-            shift: INITIAL_SHIFT,
-            now: SimTime::ZERO,
-            next_seq: 0,
-            scheduled_total: 0,
-        }
-    }
-
-    /// The current simulation time (the time of the last popped event).
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Number of events currently pending.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Returns `true` when no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Total number of events ever scheduled on this queue.
-    pub fn scheduled_total(&self) -> u64 {
-        self.scheduled_total
-    }
-
-    /// Schedules `event` at absolute time `time`.
-    ///
-    /// Times in the past are clamped to "now": protocol code frequently
-    /// computes ideal send instants (e.g. the just-in-time prefetch bound)
-    /// that have already passed, in which case the action happens immediately.
-    pub fn schedule_at(&mut self, time: SimTime, event: E) {
-        let time = time.max(self.now);
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.scheduled_total += 1;
-        self.len += 1;
-        if self.wheel_len + 1 > self.buckets.len() * MAX_LOAD {
-            self.grow();
-        }
-        if time.as_micros() >= self.horizon() {
-            self.overflow.push(ScheduledEvent { time, seq, event });
-            return;
-        }
-        let bucket = self.bucket_of(time);
-        self.buckets[bucket].push(ScheduledEvent { time, seq, event });
-        self.wheel_len += 1;
-        // A fresh event can only displace the cached minimum, never move it:
-        // pushes append and nothing else shifts, so cached slots stay valid.
-        let slot = self.buckets[bucket].len() - 1;
-        match self.next {
-            Some((t, s, _, _)) if (t, s) <= (time, seq) => {}
-            _ => self.next = Some((time, seq, bucket, slot)),
-        }
-    }
-
-    /// Schedules `event` to fire `delay` after the current time.
-    pub fn schedule_in(&mut self, delay: Duration, event: E) {
-        self.schedule_at(self.now.saturating_add(delay), event);
-    }
-
-    /// Time of the next pending event without removing it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        let wheel = self.next.map(|(t, s, ..)| (t, s));
-        let far = self.overflow.peek().map(|ev| (ev.time, ev.seq));
-        match (wheel, far) {
-            (Some(a), Some(b)) => Some(a.min(b).0),
-            (Some(a), None) => Some(a.0),
-            (None, Some(b)) => Some(b.0),
-            (None, None) => None,
-        }
-    }
-
-    /// Removes and returns the next event, advancing the clock to its time.
-    pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
-        let take_overflow = match (self.next, self.overflow.peek()) {
-            (None, None) => return None,
-            (None, Some(_)) => true,
-            (Some(_), None) => false,
-            (Some((t, s, _, _)), Some(far)) => (far.time, far.seq) < (t, s),
-        };
-        self.len -= 1;
-        if take_overflow {
-            // The wheel's cached minimum is untouched: no slot moved.
-            let event = self.overflow.pop().expect("peeked above");
-            debug_assert!(event.time >= self.now, "event queue time went backwards");
-            self.now = event.time;
-            return Some(event);
-        }
-        let (time, _seq, bucket, slot) = self.next.expect("checked above");
-        debug_assert!(time >= self.now, "event queue time went backwards");
-        let event = self.buckets[bucket].swap_remove(slot);
-        self.wheel_len -= 1;
-        self.now = time;
-        self.next = self.find_next();
-        Some(event)
-    }
-
-    /// Removes all pending events without changing the clock. Buckets and the
-    /// overflow heap keep their capacity, so refilling after a clear
-    /// allocates nothing.
-    pub fn clear(&mut self) {
-        for bucket in &mut self.buckets {
-            bucket.clear();
-        }
-        self.overflow.clear();
-        self.len = 0;
-        self.wheel_len = 0;
-        self.next = None;
-    }
-
-    fn bucket_of(&self, time: SimTime) -> usize {
-        let day = time.as_micros() >> self.shift;
-        (day & (self.buckets.len() as u64 - 1)) as usize
-    }
-
-    /// First instant beyond the wheel: one full revolution from the day
-    /// containing "now". Events at or past it go to the overflow heap.
-    fn horizon(&self) -> u64 {
-        ((self.now.as_micros() >> self.shift) + self.buckets.len() as u64) << self.shift
-    }
-
-    /// Doubles the bucket array, re-estimates the day width and
-    /// redistributes every pending event. The array never shrinks: a
-    /// steady-state population sized once stays allocation-free forever
-    /// after (growth is the only allocating path, and the only one that
-    /// changes the width).
-    fn grow(&mut self) {
-        let new_count = self.buckets.len() * 2;
-        // Width estimation: choose the power-of-two day width that puts the
-        // 75th-percentile pending event inside one wheel revolution. A dense
-        // band then spreads across the whole array (each pop scans a few
-        // events), while far-future outliers — which would wreck a max-based
-        // estimate by stretching the width until everything near now shares
-        // one day — stay outside the revolution and simply wrap.
-        let now = self.now.as_micros();
-        let mut deltas: Vec<u64> = self
-            .buckets
-            .iter()
-            .flatten()
-            .map(|ev| ev.time.as_micros() - now)
-            .collect();
-        if !deltas.is_empty() {
-            let at = deltas.len() * 3 / 4;
-            let (_, q75, _) = deltas.select_nth_unstable(at);
-            let width = (q75.saturating_mul(2) / new_count as u64).max(1);
-            self.shift = width.ilog2();
-        }
-        let new_buckets: Vec<Vec<ScheduledEvent<E>>> = (0..new_count).map(|_| Vec::new()).collect();
-        let mask = new_count as u64 - 1;
-        let horizon = ((now >> self.shift) + new_count as u64) << self.shift;
-        let old = std::mem::replace(&mut self.buckets, new_buckets);
-        for bucket in old {
-            for ev in bucket {
-                // The tighter width may push events past the new horizon —
-                // they move to the overflow heap rather than wrapping.
-                if ev.time.as_micros() >= horizon {
-                    self.overflow.push(ev);
-                    self.wheel_len -= 1;
-                    continue;
-                }
-                let day = ev.time.as_micros() >> self.shift;
-                self.buckets[(day & mask) as usize].push(ev);
-            }
-        }
-        // Slots moved; re-locate the cached minimum (its identity is stable,
-        // redistribution changes positions only).
-        self.next = self.find_next();
-    }
-
-    /// Locates the minimum `(time, seq)` pending event.
-    ///
-    /// Walks calendar days starting at the day containing `now` (every
-    /// pending event is at or after `now`, so earlier days are provably
-    /// empty). The first day holding an event holds the minimum. One full
-    /// revolution visits every bucket exactly once, so if no event lies
-    /// within a revolution the walk has already seen the global minimum and
-    /// returns it directly — far-future outliers cost one O(n) sweep, not an
-    /// unbounded spin around the wheel.
-    fn find_next(&self) -> Option<(SimTime, u64, usize, usize)> {
-        if self.wheel_len == 0 {
-            return None;
-        }
-        let nbuckets = self.buckets.len();
-        let mask = nbuckets as u64 - 1;
-        let start_day = self.now.as_micros() >> self.shift;
-        let mut global: Option<(SimTime, u64, usize, usize)> = None;
-        for offset in 0..nbuckets as u64 {
-            let day = start_day + offset;
-            let bucket = (day & mask) as usize;
-            let events = &self.buckets[bucket];
-            if events.is_empty() {
-                continue;
-            }
-            // Every pending event is >= now, so an event in this bucket with
-            // time below the day's end boundary is *of* this day (an earlier
-            // day mapping to the same bucket would lie a whole revolution
-            // before `start_day`). One precomputed bound replaces a per-event
-            // shift-and-compare.
-            let day_end = (day + 1) << self.shift;
-            let mut same_day: Option<(SimTime, u64, usize)> = None;
-            for (slot, ev) in events.iter().enumerate() {
-                if ev.time.as_micros() < day_end {
-                    if same_day.map_or(true, |(t, s, _)| (ev.time, ev.seq) < (t, s)) {
-                        same_day = Some((ev.time, ev.seq, slot));
-                    }
-                } else if global.map_or(true, |(t, s, _, _)| (ev.time, ev.seq) < (t, s)) {
-                    global = Some((ev.time, ev.seq, bucket, slot));
-                }
-            }
-            if let Some((time, seq, slot)) = same_day {
-                return Some((time, seq, bucket, slot));
-            }
-        }
-        global
-    }
-}
-
-/// The original `BinaryHeap` scheduler, kept as the equality-asserted
-/// reference for the calendar-queue [`EventQueue`]. Same API, same pop order
-/// (`(time, seq)` total order); O(log n) insert/pop and it allocates as the
-/// heap grows.
-#[derive(Debug, Clone)]
-pub struct HeapEventQueue<E> {
-    heap: BinaryHeap<ScheduledEvent<E>>,
-    now: SimTime,
-    next_seq: u64,
-    scheduled_total: u64,
-}
-
-impl<E> Default for HeapEventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> HeapEventQueue<E> {
-    /// Creates an empty queue with the clock at [`SimTime::ZERO`].
-    pub fn new() -> Self {
-        HeapEventQueue {
             heap: BinaryHeap::new(),
             now: SimTime::ZERO,
             next_seq: 0,
@@ -402,7 +101,11 @@ impl<E> HeapEventQueue<E> {
         self.scheduled_total
     }
 
-    /// Schedules `event` at absolute time `time` (past times clamp to now).
+    /// Schedules `event` at absolute time `time`.
+    ///
+    /// Times in the past are clamped to "now": protocol code frequently
+    /// computes ideal send instants (e.g. the just-in-time prefetch bound)
+    /// that have already passed, in which case the action happens immediately.
     pub fn schedule_at(&mut self, time: SimTime, event: E) {
         let time = time.max(self.now);
         let seq = self.next_seq;
@@ -429,7 +132,8 @@ impl<E> HeapEventQueue<E> {
         Some(next)
     }
 
-    /// Removes all pending events without changing the clock.
+    /// Removes all pending events without changing the clock. The heap keeps
+    /// its capacity, so refilling after a clear allocates nothing.
     pub fn clear(&mut self) {
         self.heap.clear();
     }
@@ -502,15 +206,15 @@ mod tests {
         q.clear();
         assert!(q.is_empty());
         assert_eq!(q.scheduled_total(), 5);
-        // A cleared wheel keeps working (and keeps its bucket capacity).
+        // A cleared queue keeps working.
         q.schedule_at(SimTime::from_secs(9), 9);
         assert_eq!(q.pop().unwrap().event, 9);
     }
 
     #[test]
-    fn growth_preserves_order_and_pending_events() {
-        // Push far past the initial capacity so the wheel doubles several
-        // times mid-stream, then check nothing was lost or reordered.
+    fn scattered_times_pop_in_stable_order() {
+        // A deterministic scatter with many ties: nothing may be lost or
+        // reordered.
         let mut q = EventQueue::new();
         let mut expect: Vec<u64> = Vec::new();
         for i in 0..1000u64 {
@@ -521,58 +225,5 @@ mod tests {
         expect.sort(); // stable: equal times keep insertion order
         let order: Vec<u64> = std::iter::from_fn(|| q.pop().map(|e| e.event)).collect();
         assert_eq!(order, expect);
-    }
-
-    #[test]
-    fn far_future_events_pop_after_a_sparse_gap() {
-        // Events separated by much more than one wheel revolution exercise
-        // the global-minimum fallback in find_next.
-        let mut q = EventQueue::new();
-        q.schedule_at(SimTime::from_secs(1_000_000), "far");
-        q.schedule_at(SimTime::from_secs(1), "near");
-        q.schedule_at(SimTime::from_secs(500_000_000), "farther");
-        assert_eq!(q.pop().unwrap().event, "near");
-        assert_eq!(q.pop().unwrap().event, "far");
-        assert_eq!(q.peek_time(), Some(SimTime::from_secs(500_000_000)));
-        assert_eq!(q.pop().unwrap().event, "farther");
-        assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn interleaved_schedule_and_pop_matches_heap_reference() {
-        let mut cal = EventQueue::new();
-        let mut heap = HeapEventQueue::new();
-        let mut x = 0x9E37_79B9_7F4A_7C15u64;
-        let mut step = move || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x
-        };
-        for round in 0..200 {
-            for _ in 0..(step() % 8) {
-                let t = SimTime::from_micros(step() % 50_000_000);
-                cal.schedule_at(t, round);
-                heap.schedule_at(t, round);
-            }
-            assert_eq!(cal.peek_time(), heap.peek_time());
-            for _ in 0..(step() % 6) {
-                let (a, b) = (cal.pop(), heap.pop());
-                match (a, b) {
-                    (None, None) => {}
-                    (Some(a), Some(b)) => {
-                        assert_eq!((a.time, a.seq, a.event), (b.time, b.seq, b.event));
-                    }
-                    other => panic!("queues diverged: {other:?}"),
-                }
-                assert_eq!(cal.now(), heap.now());
-                assert_eq!(cal.len(), heap.len());
-            }
-        }
-        while let Some(a) = cal.pop() {
-            let b = heap.pop().expect("heap ended early");
-            assert_eq!((a.time, a.seq, a.event), (b.time, b.seq, b.event));
-        }
-        assert!(heap.pop().is_none());
     }
 }

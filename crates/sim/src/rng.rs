@@ -9,8 +9,6 @@
 //! hot path of every crate (the `rand`/`proptest` crates are still used in
 //! tests and benchmarks).
 
-use serde::{Deserialize, Serialize};
-
 /// A deterministic pseudo-random number generator (xoshiro256++).
 ///
 /// ```
@@ -23,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// let x = a.gen_range_f64(3.0, 5.0);
 /// assert!((3.0..5.0).contains(&x));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimRng {
     s: [u64; 4],
 }

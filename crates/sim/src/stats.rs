@@ -4,7 +4,6 @@
 //! [`Summary`] computes exactly that (using the normal approximation, which is
 //! what ns-2 post-processing scripts conventionally do for a handful of runs).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Accumulates samples and reports mean, standard deviation and a 95 %
@@ -17,7 +16,7 @@ use std::fmt;
 /// assert!((s.mean() - 0.95).abs() < 1e-12);
 /// assert!(s.ci95() > 0.0);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Summary {
     count: u64,
     sum: f64,

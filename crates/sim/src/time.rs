@@ -6,7 +6,6 @@
 //! far finer than anything the protocol needs (packet transmission times are
 //! hundreds of microseconds).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Mul, Sub, SubAssign};
 
@@ -17,9 +16,7 @@ pub(crate) const MICROS_PER_SEC: u64 = 1_000_000;
 ///
 /// `SimTime` is totally ordered and cheap to copy; use [`Duration`] for
 /// differences between instants.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 impl SimTime {
@@ -138,9 +135,7 @@ impl Sub<SimTime> for SimTime {
 }
 
 /// A span of simulated time (non-negative, microsecond resolution).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Duration(u64);
 
 impl Duration {

@@ -1,7 +1,7 @@
 //! Property-based tests for the discrete-event engine.
 
 use proptest::prelude::*;
-use wsn_sim::{Duration, Engine, EventQueue, HeapEventQueue, SimRng, SimTime, World};
+use wsn_sim::{Duration, Engine, EventQueue, SimRng, SimTime, World};
 
 /// A world that records the times of every event it sees.
 #[derive(Debug, Default)]
@@ -15,6 +15,37 @@ impl World for Recorder {
     fn handle(&mut self, now: SimTime, event: u32, _queue: &mut EventQueue<u32>) {
         self.times.push(now);
         self.payloads.push(event);
+    }
+}
+
+/// The reference model of the scheduler contract: every scheduled
+/// `(time, seq, event)` triple in a `Vec`, popped by minimum `(time, seq)`.
+#[derive(Debug, Default)]
+struct VecModel {
+    pending: Vec<(SimTime, u64, u64)>,
+    now: SimTime,
+    next_seq: u64,
+}
+
+impl VecModel {
+    fn schedule_at(&mut self, time: SimTime, event: u64) {
+        self.pending
+            .push((time.max(self.now), self.next_seq, event));
+        self.next_seq += 1;
+    }
+
+    fn min_index(&self) -> Option<usize> {
+        (0..self.pending.len()).min_by_key(|&i| (self.pending[i].0, self.pending[i].1))
+    }
+
+    fn peek_time(&self) -> Option<SimTime> {
+        self.min_index().map(|i| self.pending[i].0)
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, u64, u64)> {
+        let next = self.pending.swap_remove(self.min_index()?);
+        self.now = next.0;
+        Some(next)
     }
 }
 
@@ -72,60 +103,48 @@ proptest! {
         prop_assert!(engine.world().times.len() >= before);
     }
 
-    /// The calendar queue pops in exactly the order of the retired
-    /// `BinaryHeap` reference across random interleavings of schedules and
-    /// pops — including heavy ties (FIFO stability), far-future outliers
-    /// (more than a wheel revolution ahead) and past times that clamp to now.
+    /// The queue pops in exactly the order of a trivial model (a `Vec` of
+    /// scheduled `(time, seq, event)` triples, popped by minimum) across
+    /// random interleavings of schedules and pops — including heavy ties
+    /// (FIFO stability), far-future times and past times that clamp to now.
     #[test]
-    fn calendar_queue_matches_heap_reference(ops in proptest::collection::vec(any::<u64>(), 1..400)) {
-        let mut cal: EventQueue<u64> = EventQueue::new();
-        let mut heap: HeapEventQueue<u64> = HeapEventQueue::new();
+    fn event_queue_matches_vec_model(ops in proptest::collection::vec(any::<u64>(), 1..400)) {
+        let mut queue: EventQueue<u64> = EventQueue::new();
+        let mut model = VecModel::default();
         for (i, &op) in ops.iter().enumerate() {
-            match op % 5 {
-                // Dense band: lots of collisions within a few wheel days.
-                0 | 1 => {
-                    let t = SimTime::from_micros((op >> 3) % 100_000);
-                    cal.schedule_at(t, i as u64);
-                    heap.schedule_at(t, i as u64);
-                }
+            let time = match op % 5 {
+                // Dense band: lots of near-collisions, and past times once
+                // the clock has moved beyond them.
+                0 | 1 => Some(SimTime::from_micros((op >> 3) % 100_000)),
                 // Exact tie at a fixed instant: FIFO order must hold.
-                2 => {
-                    let t = SimTime::from_secs(7);
-                    cal.schedule_at(t, i as u64);
-                    heap.schedule_at(t, i as u64);
-                }
-                // Far future: beyond one revolution of the initial wheel.
-                3 => {
-                    let t = SimTime::from_secs(1_000 + (op >> 3) % 1_000_000_000);
-                    cal.schedule_at(t, i as u64);
-                    heap.schedule_at(t, i as u64);
-                }
-                // Pop: both queues must agree on the event and the clock.
-                _ => {
-                    match (cal.pop(), heap.pop()) {
-                        (None, None) => {}
-                        (Some(a), Some(b)) => {
-                            prop_assert_eq!((a.time, a.seq, a.event), (b.time, b.seq, b.event));
-                        }
-                        (a, b) => prop_assert!(false, "queues diverged: {:?} vs {:?}", a, b),
-                    }
-                    prop_assert_eq!(cal.now(), heap.now());
-                }
+                2 => Some(SimTime::from_secs(7)),
+                // Far future.
+                3 => Some(SimTime::from_secs(1_000 + (op >> 3) % 1_000_000_000)),
+                // Pop.
+                _ => None,
+            };
+            if let Some(time) = time {
+                queue.schedule_at(time, i as u64);
+                model.schedule_at(time, i as u64);
+            } else {
+                // Queue and model must agree on the event and the clock.
+                let got = queue.pop().map(|ev| (ev.time, ev.seq, ev.event));
+                prop_assert_eq!(got, model.pop());
+                prop_assert_eq!(queue.now(), model.now);
             }
-            prop_assert_eq!(cal.peek_time(), heap.peek_time());
-            prop_assert_eq!(cal.len(), heap.len());
+            prop_assert_eq!(queue.peek_time(), model.peek_time());
+            prop_assert_eq!(queue.len(), model.pending.len());
         }
         // Drain both: the tails must be identical too.
         loop {
-            match (cal.pop(), heap.pop()) {
-                (None, None) => break,
-                (Some(a), Some(b)) => {
-                    prop_assert_eq!((a.time, a.seq, a.event), (b.time, b.seq, b.event));
-                }
-                (a, b) => prop_assert!(false, "queues diverged while draining: {:?} vs {:?}", a, b),
+            let got = queue.pop().map(|ev| (ev.time, ev.seq, ev.event));
+            let want = model.pop();
+            prop_assert_eq!(got, want);
+            if want.is_none() {
+                break;
             }
         }
-        prop_assert_eq!(cal.scheduled_total(), heap.scheduled_total());
+        prop_assert_eq!(queue.scheduled_total(), model.next_seq);
     }
 
     /// The RNG produces identical streams for identical seeds and stays in range.

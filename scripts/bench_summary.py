@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Render a mobiquery-repro/bench/v8 document as GitHub-flavored markdown.
+"""Render a mobiquery-repro/bench/v9 document as GitHub-flavored markdown.
 
 Used by .github/workflows/ci.yml to append both the fresh bench run and the
 committed BENCH_repro.json trajectory to $GITHUB_STEP_SUMMARY:
@@ -40,28 +40,6 @@ def figures_table(doc):
     return table(["target", "serial ms", "parallel ms", "speedup"], rows)
 
 
-def event_queue_table(doc):
-    rows = [
-        [
-            e["hold"],
-            e["events"],
-            e["calendar_ns_per_op"],
-            e["heap_ns_per_op"],
-            e["speedup"],
-        ]
-        for e in doc.get("event_queue", [])
-    ]
-    body = table(
-        ["hold", "events", "calendar ns/op", "heap ns/op", "speedup"], rows
-    )
-    if body and "steady_allocs_per_period" in doc:
-        body += (
-            f"\nSteady-state heap allocations per period: "
-            f"**{doc['steady_allocs_per_period']}**\n"
-        )
-    return body
-
-
 def scale_table(doc):
     rows = []
     for e in doc.get("scale", []):
@@ -100,7 +78,7 @@ def multiuser_table(doc):
             e["sharing_ratio"],
             f"{e['mean_success_ratio']:.3f}",
             e.get("shared_ms", "-"),
-            e.get("events_per_sec", "-"),
+            e.get("installs_and_resolves_per_sec", "-"),
         ]
         for e in doc.get("multiuser", [])
     ]
@@ -112,7 +90,7 @@ def multiuser_table(doc):
             "sharing ratio",
             "mean success",
             "serial ms",
-            "resolves/s",
+            "installs+resolves/s",
         ],
         rows,
     )
@@ -219,9 +197,10 @@ def render(title, doc):
         f"## Bench: {title}\n",
         f"`{doc.get('schema', '?')}` — mode {doc.get('mode', '?')}, "
         f"{doc.get('host_cores', '?')} host cores, "
-        f"{doc.get('parallel_jobs', '?')} parallel jobs\n",
+        f"{doc.get('parallel_jobs', '?')} parallel jobs, "
+        f"{doc.get('steady_allocs_per_period', '?')} steady-state allocations "
+        f"per period\n",
         section("Per-target serial vs parallel", figures_table(doc)),
-        section("Event loop: calendar queue vs heap", event_queue_table(doc)),
         section("Scale sweep", scale_table(doc)),
         section("Multi-user tree economy", multiuser_table(doc)),
         section("Churn: incremental repair vs full re-election", churn_table(doc)),

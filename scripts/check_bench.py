@@ -1,20 +1,29 @@
 #!/usr/bin/env python3
-"""Sanity-check a mobiquery-repro/bench/v8 document.
+"""Sanity-check a mobiquery-repro/bench/v9 document.
 
 Shared by ci.sh and .github/workflows/ci.yml so the schema contract and the
 committed baseline figures live in exactly one place. Asserts:
 
 * header metadata (schema, host cores, the --users fleet ceiling);
+* the steady-state allocation gate: `steady_allocs_per_period` exactly
+  zero (the counting-allocator figure the zero_alloc test enforces);
 * the per-phase setup breakdown of every scale entry, with the
   coverage-raster election's `ccp_ms` bounded by the *whole* pre-raster
   setup figure committed for the same deployment size (bench/v2 values;
   generous by an order of magnitude on a quiet machine, so this only fires
-  on a real regression);
+  on a real regression), and a positive `events_per_sec` (event-queue
+  pops per second of the event-driven run);
 * the multi-user section: per-entry fleet/tree/success fields, the naive
   baseline building one tree per install, and — when the --users ceiling
   admits fleets of 100+ users — the shared cache building strictly fewer
   trees than the naive one-tree-per-user reference (smaller ceilings
-  legitimately truncate the ladder, so the assertion is conditional);
+  legitimately truncate the ladder, so the assertion is conditional), and
+  a positive `installs_and_resolves_per_sec` (the stepped engine has no
+  event queue; it counts period installs plus query resolves per second);
+* the event-loop trajectory: when a document carries the full committed
+  sweep (250-user fleet / 20k-node entry), the multiuser serial hot loop
+  and the 20k run no slower than the last bench/v6 snapshot's committed
+  values;
 * the service section (v5): the fixed reference load served by the
   stepped engine, with success ratios in [0, 1] and p50 <= p99 <= max
   latency;
@@ -23,14 +32,7 @@ committed baseline figures live in exactly one place. Asserts:
   and — at large deployments under light churn, where repair is the whole
   point — a mean per-batch repair cost at least REPAIR_ADVANTAGE times
   below one full election;
-* the event-loop section (v7): the calendar-queue-vs-heap hold
-  model with both timings positive, `steady_allocs_per_period` exactly
-  zero (the counting-allocator figure the zero_alloc test enforces), the
-  `events_per_sec` throughput fields, and — when a document carries the
-  full committed sweep (250-user fleet / 20k-node entry) — the multiuser
-  serial hot loop and the 20k run no slower than the last bench/v6
-  snapshot's committed values;
-* the resilience section (new in v8): the fault-injection ladder run
+* the resilience section (v8): the fault-injection ladder run
   with recovery on and off over the identical seeded schedule, paired
   per loss rate, with recovery-off paying zero retries, recovery-on
   actually retrying at every nonzero loss, and — the reason the section
@@ -69,7 +71,7 @@ VERIFY_MAX_NODES = 200_000
 
 # Event-loop trajectory: the last bench/v6 snapshot's committed values for
 # the multiuser serial hot loop (250-user fleet, shared cache) and the
-# 20k-node single-user run. A v7 document carrying those entries must beat
+# 20k-node single-user run. A document carrying those entries must beat
 # them — the event-loop PR's whole point. Only the committed snapshot
 # carries them (the fresh CI smoke run sweeps a smaller grid), so these
 # bounds compare one committed artifact against another, not a live run
@@ -161,8 +163,9 @@ def check_multiuser(doc):
             entry["trees_built_shared"] <= entry["trees_built_naive"]
         ), f"multiuser/{users}: shared cache built MORE trees than naive"
         assert 0.0 <= entry["min_success_ratio"] <= entry["mean_success_ratio"] <= 1.0
-        assert entry.get("events_per_sec", 0) > 0, (
-            f"multiuser/{users}: events_per_sec missing or non-positive"
+        assert entry.get("installs_and_resolves_per_sec", 0) > 0, (
+            f"multiuser/{users}: installs_and_resolves_per_sec missing or "
+            f"non-positive"
         )
         if users >= 250:
             assert entry["shared_ms"] < V6_MULTIUSER_250_SHARED_MS, (
@@ -248,22 +251,7 @@ def check_service(doc):
     assert service["trees_built"] <= service["installs"]
 
 
-def check_event_loop(doc):
-    entries = doc.get("event_queue")
-    assert entries, "the event_queue hold-model comparison is missing"
-    for entry in entries:
-        hold = entry.get("hold", 0)
-        label = f"event_queue/hold={hold}"
-        assert hold >= 1, f"{label}: malformed hold size"
-        assert entry.get("events", 0) >= 1, f"{label}: no events driven"
-        # The traces are equality-asserted in-process before timing, so the
-        # document only needs both timings to exist and be sane.
-        assert entry.get("calendar_ns_per_op", 0) > 0, (
-            f"{label}: calendar timing missing or non-positive"
-        )
-        assert entry.get("heap_ns_per_op", 0) > 0, (
-            f"{label}: heap reference timing missing or non-positive"
-        )
+def check_steady_allocs(doc):
     allocs = doc.get("steady_allocs_per_period")
     assert allocs == 0, (
         f"steady state allocated {allocs} times per period; the warm loop "
@@ -316,10 +304,10 @@ def check_resilience(doc):
 
 
 def check_doc(doc):
-    assert doc["schema"] == "mobiquery-repro/bench/v8", doc["schema"]
+    assert doc["schema"] == "mobiquery-repro/bench/v9", doc["schema"]
     assert doc.get("host_cores", 0) >= 1, "host_cores missing from bench header"
     assert doc.get("users", 0) >= 1, "users missing from bench header"
-    check_event_loop(doc)
+    check_steady_allocs(doc)
     check_scale(doc)
     check_multiuser(doc)
     check_churn(doc)
@@ -332,7 +320,7 @@ def main(path):
         doc = json.load(f)
     check_doc(doc)
     print(
-        "bench/v8 setup breakdown + event loop + multiuser tree economy + "
+        "bench/v9 setup breakdown + steady allocs + multiuser tree economy + "
         "churn repair + service load + resilience recovery dominance OK"
     )
 

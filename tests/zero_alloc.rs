@@ -3,7 +3,7 @@
 //! The stepped engine recycles every per-period buffer: hop-path vectors and
 //! per-event scratch in the worlds, tree buffers through `TreeCache` /
 //! `FloodScratch`, the resolve's `nodes_in_area` scratch on `SteppedSim`,
-//! pre-reserved query logs, and a calendar queue whose wheel never shrinks.
+//! and pre-reserved query logs (the stepped engine has no event queue).
 //! This test steps a steady workload (see `mobiquery_repro::steady`) with a
 //! counting `#[global_allocator]` installed and asserts the warm loop's
 //! heap-allocation delta is exactly zero per period boundary — not "small",
