@@ -43,8 +43,8 @@ use wsn_sim::{Duration, Engine, SimRng, SimTime};
 /// milliseconds.
 ///
 /// Deployment setup used to dwarf the event loop at scale (~50× at 20 000
-/// nodes before the coverage raster), so the scale benchmarks record where
-/// setup time actually goes instead of a single opaque `setup_ms`.
+/// nodes before the coverage raster), so the benchmark records where setup
+/// time actually goes instead of a single opaque `setup_ms`.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SetupBreakdown {
     /// Node placement, the all-nodes spatial grid, and the backbone

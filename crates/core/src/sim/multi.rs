@@ -18,8 +18,9 @@
 //! scoring draws come from per-query streams
 //! `mix_seed(seed, [QUERY_STREAM, user, k])`, and contention depends only on
 //! the (pure) count of concurrently active users — so shared and naive runs
-//! produce byte-identical per-user [`QueryLog`]s, which
-//! `tree_cache_equivalence` proptests and the `tree_sharing` bench assert.
+//! produce byte-identical per-user [`QueryLog`]s, which the
+//! `tree_cache_equivalence` proptests and every trial of the `multiuser`
+//! experiment assert.
 //!
 //! Since the service refactor the actual period machinery lives in
 //! [`super::stepped::SteppedSim`]; [`MultiSimulation`] is the batch
@@ -258,13 +259,13 @@ impl MultiUserOutput {
     }
 
     /// Worst per-user success ratio — is *every* user served, not just the
-    /// average one?
+    /// average one? An empty fleet reports 0, like the mean.
     pub fn min_success_ratio(&self) -> f64 {
         self.per_user
             .iter()
             .map(|u| u.success_ratio)
-            .fold(f64::INFINITY, f64::min)
-            .min(1.0)
+            .reduce(f64::min)
+            .unwrap_or(0.0)
     }
 
     /// Mean per-user fidelity.
@@ -496,6 +497,19 @@ mod tests {
         assert_eq!(out.logs[0].len(), 20, "40 s at 2 s per period");
         assert!(out.mean_fidelity() > 0.0);
         assert!(out.backbone_count > 0);
+    }
+
+    #[test]
+    fn empty_query_set_reports_zero_success_like_the_mean() {
+        let scenario = small_scenario(1);
+        let max_k = QuerySet::generate(&scenario, 1).max_k();
+        let empty = QuerySet::from_users(vec![], max_k).unwrap();
+        let out = MultiSimulation::with_query_set(scenario, empty, TreeSharing::Shared)
+            .unwrap()
+            .run();
+        assert!(out.per_user.is_empty());
+        assert_eq!(out.mean_success_ratio(), 0.0);
+        assert_eq!(out.min_success_ratio(), 0.0);
     }
 
     #[test]

@@ -10,17 +10,15 @@
 //! [`VERIFY_MAX_NODES`] the engine additionally cross-checks every single
 //! batch (`ChurnConfig::verify`).
 //!
-//! Deterministic outputs (`--format json churn`) deliberately exclude every
-//! wall-clock field so the bytes are identical for every `--jobs` setting;
-//! the `--bench` section keeps the timings (repair vs full election) as a
-//! trajectory snapshot.
+//! Outputs carry no wall-clock field, so the bytes of `--format json churn`
+//! are identical for every `--jobs` setting. Repair timings are the
+//! repository benchmark's business (`perfbench`, workload `churn_walk`).
 
 use crate::runner::trial_seed;
 use crate::scale::scale_scenario;
 use crate::ExperimentConfig;
 use mobiquery::config::Scheme;
 use mobiquery::sim::{ChurnConfig, QuerySet, SteppedSim, TreeSharing};
-use std::time::Instant;
 use wsn_metrics::{ChurnSummary, JsonValue, Table};
 use wsn_sim::pool;
 
@@ -31,8 +29,7 @@ use wsn_sim::pool;
 pub const VERIFY_MAX_NODES: usize = 200_000;
 
 /// One churn trial: one deployment size at one churn rate, walked to the
-/// end. All fields except the `*_ms` timings are deterministic in
-/// `(nodes, rate, users, seed)`.
+/// end. Every field is deterministic in `(nodes, rate, users, seed)`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChurnPoint {
     /// Deployment size of the trial.
@@ -65,15 +62,6 @@ pub struct ChurnPoint {
     pub mean_success_ratio: f64,
     /// Fleet-mean fidelity of the churned service.
     pub mean_fidelity: f64,
-    /// Total incremental-repair wall-clock across the walk.
-    pub repair_ms: f64,
-    /// Mean repair wall-clock per batch.
-    pub mean_repair_ms: f64,
-    /// Total churn-application wall-clock (grid/plan/neighbour updates).
-    pub apply_ms: f64,
-    /// Wall-clock of ONE full priority re-election over the final
-    /// deployment — what every batch would cost without incremental repair.
-    pub full_ccp_ms: f64,
 }
 
 /// FNV-1a over the ascending backbone slots: a stable 64-bit digest that two
@@ -112,14 +100,11 @@ pub fn run_point(nodes: usize, rate: f64, users: usize, seed: u64) -> ChurnPoint
         .expect("verified churn walks complete (a divergence would error here)");
 
     let summary = ChurnSummary::from_batches(sim.churn_log());
-    let apply_ms: f64 = sim.churn_log().iter().map(|b| b.apply_ms).sum();
     let per_batch_verified =
         !sim.churn_log().is_empty() && sim.churn_log().iter().all(|b| b.verified == Some(true));
     let backbone = sim.backbone_slots();
 
-    let start = Instant::now();
     let reference = sim.reference_reelection();
-    let full_ccp_ms = start.elapsed().as_secs_f64() * 1e3;
     assert_eq!(
         backbone, reference,
         "incremental repair diverged from full re-election at {nodes} nodes, rate {rate}, seed {seed}"
@@ -141,10 +126,6 @@ pub fn run_point(nodes: usize, rate: f64, users: usize, seed: u64) -> ChurnPoint
         per_batch_verified,
         mean_success_ratio: out.mean_success_ratio(),
         mean_fidelity: out.mean_fidelity(),
-        repair_ms: summary.repair_ms,
-        mean_repair_ms: summary.mean_repair_ms,
-        apply_ms,
-        full_ccp_ms,
     }
 }
 
@@ -201,7 +182,7 @@ pub fn run(config: &ExperimentConfig, scales: &[usize], rate: f64) -> Table {
     table_from_points(&run_points(config, scales, rate))
 }
 
-/// The deterministic JSON view of one point: every field except wall-clock.
+/// The JSON view of one point.
 fn point_json(p: &ChurnPoint) -> JsonValue {
     JsonValue::object()
         .with("nodes", p.nodes)
@@ -235,44 +216,6 @@ pub fn run_json(config: &ExperimentConfig, scales: &[usize], rate: f64) -> JsonV
         )
 }
 
-/// The `--bench` churn section: at one deployment size, sweep churn rates
-/// and report the incremental-repair cost next to what one full re-election
-/// costs — the numbers `check_bench.py` holds the repair path to
-/// (`mean_repair_ms ≪ full_ccp_ms` at low rates and large scales).
-pub fn bench_sweep(nodes: usize, rates: &[f64], users: usize, base_seed: u64) -> JsonValue {
-    let mut entries = Vec::new();
-    for (point, &rate) in rates.iter().enumerate() {
-        eprintln!("churn bench: {nodes} nodes at rate {rate}, repair vs full election");
-        let p = run_point(nodes, rate, users, trial_seed(base_seed, point, 0));
-        entries.push(
-            JsonValue::object()
-                .with("nodes", p.nodes)
-                .with("rate", p.rate)
-                .with("batches", p.batches)
-                .with("deaths", p.deaths)
-                .with("evaluated", p.evaluated)
-                .with("promoted", p.promoted)
-                .with("demoted", p.demoted)
-                .with("backbone_count", p.backbone_count)
-                .with("backbone_digest", format!("{:016x}", p.backbone_digest))
-                .with("per_batch_verified", p.per_batch_verified)
-                .with("repair_ms", round2(p.repair_ms))
-                .with("mean_repair_ms", round2(p.mean_repair_ms))
-                .with("apply_ms", round2(p.apply_ms))
-                .with("full_ccp_ms", round2(p.full_ccp_ms))
-                .with(
-                    "speedup_vs_full",
-                    round2(p.full_ccp_ms / p.mean_repair_ms.max(1e-9)),
-                ),
-        );
-    }
-    JsonValue::Array(entries)
-}
-
-fn round2(v: f64) -> f64 {
-    (v * 100.0).round() / 100.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -304,35 +247,9 @@ mod tests {
             users: 2,
             ..ExperimentConfig::quick()
         };
-        let strip = |points: Vec<ChurnPoint>| {
-            points
-                .into_iter()
-                .map(|p| point_json(&p).to_string())
-                .collect::<Vec<_>>()
-        };
-        let serial = strip(run_points(&config.with_jobs(1), &[150, 250], 0.1));
-        let parallel = strip(run_points(&config.with_jobs(4), &[150, 250], 0.1));
+        let serial = run_points(&config.with_jobs(1), &[150, 250], 0.1);
+        let parallel = run_points(&config.with_jobs(4), &[150, 250], 0.1);
         assert_eq!(serial, parallel);
         assert_eq!(serial.len(), 2 * config.runs.max(1) as usize);
-    }
-
-    #[test]
-    fn bench_sweep_reports_one_entry_per_rate() {
-        let doc = bench_sweep(200, &[0.02, 0.1], 2, 11);
-        let JsonValue::Array(entries) = doc else {
-            panic!("churn bench must be an array");
-        };
-        assert_eq!(entries.len(), 2);
-        let text = entries[0].to_string();
-        for field in [
-            "\"rate\"",
-            "\"repair_ms\"",
-            "\"mean_repair_ms\"",
-            "\"full_ccp_ms\"",
-            "\"backbone_digest\"",
-            "\"per_batch_verified\"",
-        ] {
-            assert!(text.contains(field), "missing {field} in {text}");
-        }
     }
 }

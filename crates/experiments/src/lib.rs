@@ -5,9 +5,9 @@
 //! Section 5.
 //!
 //! Each `figN` module exposes a `run(&ExperimentConfig)` function returning
-//! the corresponding table or series; the `repro` binary prints them, the
-//! Criterion benches time them, and the integration tests assert the
-//! qualitative shapes (who wins, how trends go) that the paper reports.
+//! the corresponding table or series; the `repro` binary prints them and the
+//! integration tests assert the qualitative shapes (who wins, how trends go)
+//! that the paper reports.
 //!
 //! Experiments come in two sizes:
 //!
@@ -15,7 +15,7 @@
 //!   runs, several topologies per point); minutes of CPU per figure.
 //! * **quick** — a scaled-down variant (fewer nodes, shorter runs, fewer
 //!   parameter points) that preserves the qualitative comparisons; used by
-//!   benches and CI.
+//!   the tests and CI.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -68,7 +68,7 @@ impl ExperimentConfig {
         }
     }
 
-    /// The scaled-down configuration used by benches and CI.
+    /// The scaled-down configuration used by the tests and CI.
     pub fn quick() -> Self {
         ExperimentConfig {
             quick: true,

@@ -13,7 +13,6 @@ use crate::runner::trial_seed;
 use crate::ExperimentConfig;
 use mobiquery::config::Scenario;
 use mobiquery::sim::{MultiSimulation, MultiUserOutput, TreeSharing};
-use std::time::Instant;
 use wsn_metrics::{JsonValue, Table, UserSummary};
 use wsn_sim::pool;
 
@@ -235,79 +234,11 @@ pub fn run_json(config: &ExperimentConfig) -> JsonValue {
         .with("users_max", config.users)
 }
 
-/// The `--bench` multi-user section: at one deployment size, sweep fleet
-/// sizes and time the shared run against the naive one-tree-per-user run —
-/// asserting, per entry, that they are result-identical per user.
-///
-/// Timings are a trajectory snapshot (machine-dependent), best-of-3 per
-/// sharing mode — the engine is deterministic, so repeats do identical work
-/// and the minimum is the least-noisy estimate; the tree counts and
-/// per-user aggregates are deterministic.
-pub fn bench_sweep(scenario_for: impl Fn(u64) -> Scenario, users_list: &[usize]) -> JsonValue {
-    fn best_of_3(
-        scenario: &Scenario,
-        users: usize,
-        sharing: TreeSharing,
-    ) -> (MultiUserOutput, f64) {
-        let mut best: Option<(MultiUserOutput, f64)> = None;
-        for _ in 0..3 {
-            let start = Instant::now();
-            let out = MultiSimulation::new(scenario.clone(), users, sharing)
-                .expect("bench scenarios are valid by construction")
-                .run();
-            let elapsed = start.elapsed().as_secs_f64() * 1e3;
-            if best.as_ref().map_or(true, |(_, ms)| elapsed < *ms) {
-                best = Some((out, elapsed));
-            }
-        }
-        best.expect("three timed runs happened")
-    }
-
-    let mut entries = Vec::new();
-    for (point, &users) in users_list.iter().enumerate() {
-        let scenario = scenario_for(point as u64);
-        eprintln!("multiuser bench: {users} users, shared vs naive");
-        let (shared, shared_ms) = best_of_3(&scenario, users, TreeSharing::Shared);
-        let (naive, naive_ms) = best_of_3(&scenario, users, TreeSharing::Naive);
-        assert_eq!(
-            shared.logs, naive.logs,
-            "tree sharing changed per-user results at {users} users in the bench sweep"
-        );
-        entries.push(
-            JsonValue::object()
-                .with("users", users)
-                .with("installs", shared.installs)
-                .with("trees_built_shared", shared.trees_built)
-                .with("trees_built_naive", naive.trees_built)
-                .with("sharing_ratio", shared.sharing_ratio())
-                .with("shared_hits", shared.shared_hits)
-                .with("peak_live_trees", shared.peak_live_trees)
-                .with("mean_success_ratio", shared.mean_success_ratio())
-                .with("min_success_ratio", shared.min_success_ratio())
-                .with("mean_fidelity", shared.mean_fidelity())
-                .with("node_wake_seconds_shared", shared.node_wake_seconds)
-                .with("node_wake_seconds_naive", shared.node_wake_seconds_naive)
-                .with("shared_ms", round2(shared_ms))
-                .with("naive_ms", round2(naive_ms))
-                // The stepped engine has no event queue: `events_processed`
-                // counts its period installs plus query resolves.
-                .with(
-                    "installs_and_resolves_per_sec",
-                    round2(shared.events_processed as f64 / (shared_ms / 1e3).max(1e-9)),
-                )
-                .with("speedup", round2(naive_ms / shared_ms.max(1e-9))),
-        );
-    }
-    JsonValue::Array(entries)
-}
-
-fn round2(v: f64) -> f64 {
-    (v * 100.0).round() / 100.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scale::scale_scenario;
+    use mobiquery::config::Scheme;
 
     #[test]
     fn ladder_doubles_up_to_the_configured_fleet() {
@@ -351,29 +282,23 @@ mod tests {
     }
 
     #[test]
-    fn bench_sweep_reports_one_entry_per_fleet_size() {
-        let doc = bench_sweep(
-            |point| {
-                ExperimentConfig::quick()
-                    .base_scenario()
-                    .with_duration_secs(30.0)
-                    .with_seed(trial_seed(11, point as usize, 0))
-            },
-            &[1, 3],
+    fn shared_cache_beats_one_tree_per_user_at_100_users() {
+        let scenario = scale_scenario(2_000, Scheme::JustInTime, trial_seed(42, 2, 0));
+        let (shared, naive) = run_equivalent_pair(&scenario, 100);
+        assert_eq!(
+            naive.trees_built, naive.installs,
+            "the naive reference builds one tree per install"
         );
-        let JsonValue::Array(entries) = doc else {
-            panic!("bench sweep must be an array");
-        };
-        assert_eq!(entries.len(), 2);
-        let text = entries[1].to_string();
-        for field in [
-            "\"users\"",
-            "\"trees_built_shared\"",
-            "\"trees_built_naive\"",
-            "\"sharing_ratio\"",
-            "\"min_success_ratio\"",
-        ] {
-            assert!(text.contains(field), "missing {field} in {text}");
-        }
+        assert!(
+            shared.trees_built < naive.trees_built,
+            "at 100 users the shared cache must build strictly fewer trees: {} vs {}",
+            shared.trees_built,
+            naive.trees_built
+        );
+        let (min, mean) = (shared.min_success_ratio(), shared.mean_success_ratio());
+        assert!(
+            0.0 <= min && min <= mean && mean <= 1.0,
+            "success ratios out of order: min {min}, mean {mean}"
+        );
     }
 }

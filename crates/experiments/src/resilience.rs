@@ -8,18 +8,17 @@
 //! without — across a ladder of loss rates, so the output directly compares
 //! the two protocol variants the tentpole exists to separate.
 //!
-//! Deterministic outputs (`--format json resilience`) deliberately exclude
-//! every wall-clock field so the bytes are identical for every `--jobs`
-//! setting; the CI chaos gate `cmp`s them across job counts. The `--bench`
-//! section is where `check_bench.py` holds recovery-on to strictly higher
-//! mean delivery than recovery-off at every nonzero loss rate.
+//! Outputs carry no wall-clock field, so the bytes of `--format json
+//! resilience` are identical for every `--jobs` setting; the CI chaos gate
+//! `cmp`s them across job counts. The unit tests hold recovery-on to
+//! strictly higher mean delivery than recovery-off at every loss of a fixed
+//! ladder.
 
 use crate::runner::trial_seed;
 use crate::scale::scale_scenario;
 use crate::ExperimentConfig;
 use mobiquery::config::Scheme;
 use mobiquery::sim::{FaultConfig, MultiUserOutput, QuerySet, SteppedSim, TreeSharing};
-use std::time::Instant;
 use wsn_metrics::{recovery_latency, JsonValue, ResilienceSummary, Table};
 use wsn_sim::pool;
 
@@ -31,8 +30,8 @@ pub fn loss_ladder(top: f64) -> [f64; 3] {
 }
 
 /// One resilience trial: one deployment size, one fault configuration, one
-/// recovery setting, walked to the end. All fields except `elapsed_ms` are
-/// deterministic in `(nodes, fault, users, seed)`.
+/// recovery setting, walked to the end. Every field is deterministic in
+/// `(nodes, fault, users, seed)`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ResiliencePoint {
     /// Deployment size of the trial.
@@ -84,8 +83,6 @@ pub struct ResiliencePoint {
     /// Fleet-mean fraction of periods whose result arrived by deadline —
     /// the "query success" the recovery machinery defends.
     pub mean_delivery_ratio: f64,
-    /// Wall-clock of the walk (bench only; excluded from JSON points).
-    pub elapsed_ms: f64,
 }
 
 fn mean_delivery(out: &MultiUserOutput) -> f64 {
@@ -110,13 +107,11 @@ fn mean_delivery(out: &MultiUserOutput) -> f64 {
 pub fn run_point(nodes: usize, fault: FaultConfig, users: usize, seed: u64) -> ResiliencePoint {
     let scenario = scale_scenario(nodes, Scheme::JustInTime, seed);
     let set = QuerySet::generate(&scenario, users);
-    let start = Instant::now();
     let mut sim = SteppedSim::with_faults(scenario, set, TreeSharing::Shared, fault)
         .expect("resilience fault configs are valid by construction");
     sim.run_to_end().expect("fault walks complete");
     let summary = ResilienceSummary::from_batches(sim.fault_log());
     let out = sim.finish();
-    let elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
     let delivered: usize = out
         .logs
         .iter()
@@ -149,7 +144,6 @@ pub fn run_point(nodes: usize, fault: FaultConfig, users: usize, seed: u64) -> R
         mean_success_ratio: out.mean_success_ratio(),
         mean_fidelity: out.mean_fidelity(),
         mean_delivery_ratio: mean_delivery(&out),
-        elapsed_ms,
     }
 }
 
@@ -217,7 +211,7 @@ pub fn run(config: &ExperimentConfig, scales: &[usize], fault: FaultConfig) -> T
     table_from_points(&run_points(config, scales, fault))
 }
 
-/// The deterministic JSON view of one point: every field except wall-clock.
+/// The JSON view of one point.
 fn point_json(p: &ResiliencePoint) -> JsonValue {
     JsonValue::object()
         .with("nodes", p.nodes)
@@ -261,52 +255,6 @@ pub fn run_json(config: &ExperimentConfig, scales: &[usize], fault: FaultConfig)
         )
 }
 
-/// The `--bench` resilience section: at one deployment size, sweep a fixed
-/// loss ladder with recovery on and off on the identical fault schedule.
-/// `check_bench.py` holds recovery-on to strictly higher
-/// `mean_delivery_ratio` than recovery-off at every nonzero loss.
-pub fn bench_sweep(nodes: usize, losses: &[f64], users: usize, base_seed: u64) -> JsonValue {
-    let mut entries = Vec::new();
-    for (point, &loss) in losses.iter().enumerate() {
-        let seed = trial_seed(base_seed, point, 0);
-        for recovery in [true, false] {
-            eprintln!(
-                "resilience bench: {nodes} nodes at loss {loss}, recovery {}",
-                if recovery { "on" } else { "off" }
-            );
-            let p = run_point(
-                nodes,
-                FaultConfig::new(loss).with_recovery(recovery),
-                users,
-                seed,
-            );
-            entries.push(
-                JsonValue::object()
-                    .with("nodes", p.nodes)
-                    .with("loss", p.loss)
-                    .with("recovery", p.recovery)
-                    .with("retries", p.retries as usize)
-                    .with("install_failures", p.install_failures as usize)
-                    .with("retries_per_delivered", round4(p.retries_per_delivered))
-                    .with("mean_outage_periods", round4(p.mean_outage_periods))
-                    .with("mean_success_ratio", round4(p.mean_success_ratio))
-                    .with("mean_fidelity", round4(p.mean_fidelity))
-                    .with("mean_delivery_ratio", round4(p.mean_delivery_ratio))
-                    .with("elapsed_ms", round2(p.elapsed_ms)),
-            );
-        }
-    }
-    JsonValue::Array(entries)
-}
-
-fn round2(v: f64) -> f64 {
-    (v * 100.0).round() / 100.0
-}
-
-fn round4(v: f64) -> f64 {
-    (v * 10_000.0).round() / 10_000.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -328,20 +276,37 @@ mod tests {
         assert!(p.install_attempts > 0);
         assert!(p.recovery);
         assert!(p.mean_delivery_ratio > 0.0 && p.mean_delivery_ratio <= 1.0);
+        assert!((0.0..=1.0).contains(&p.mean_success_ratio));
     }
 
     #[test]
     fn recovery_on_beats_recovery_off_on_the_same_schedule() {
-        let on = run_point(200, FaultConfig::new(0.3), 3, 11);
-        let off = run_point(200, FaultConfig::new(0.3).with_recovery(false), 3, 11);
-        assert!(on.retries > 0, "recovery must actually retry under loss");
-        assert_eq!(off.retries, 0, "no retries with recovery off");
-        assert!(
-            on.mean_delivery_ratio > off.mean_delivery_ratio,
-            "retries must buy delivery: on={} off={}",
-            on.mean_delivery_ratio,
-            off.mean_delivery_ratio
-        );
+        // A small field at one loss, then a 1000-node, 4-user field across a
+        // ladder of losses, each loss under its own seed.
+        let mut cases = vec![(200, 0.3, 3, 11)];
+        for (point, loss) in [0.05, 0.1, 0.2, 0.4].into_iter().enumerate() {
+            cases.push((1_000, loss, 4, trial_seed(42, point, 0)));
+        }
+        for (nodes, loss, users, seed) in cases {
+            let on = run_point(nodes, FaultConfig::new(loss), users, seed);
+            let off = run_point(
+                nodes,
+                FaultConfig::new(loss).with_recovery(false),
+                users,
+                seed,
+            );
+            assert!(
+                on.retries > 0,
+                "recovery must actually retry under loss {loss}"
+            );
+            assert_eq!(off.retries, 0, "no retries with recovery off");
+            assert!(
+                on.mean_delivery_ratio > off.mean_delivery_ratio,
+                "retries must buy delivery at {nodes} nodes, loss {loss}: on={} off={}",
+                on.mean_delivery_ratio,
+                off.mean_delivery_ratio
+            );
+        }
     }
 
     #[test]
@@ -351,35 +316,9 @@ mod tests {
             ..ExperimentConfig::quick()
         };
         let fault = FaultConfig::new(0.2);
-        let strip = |points: Vec<ResiliencePoint>| {
-            points
-                .into_iter()
-                .map(|p| point_json(&p).to_string())
-                .collect::<Vec<_>>()
-        };
-        let serial = strip(run_points(&config.with_jobs(1), &[150], fault));
-        let parallel = strip(run_points(&config.with_jobs(4), &[150], fault));
+        let serial = run_points(&config.with_jobs(1), &[150], fault);
+        let parallel = run_points(&config.with_jobs(4), &[150], fault);
         assert_eq!(serial, parallel);
         assert_eq!(serial.len(), 3 * 2, "ladder of three, on and off each");
-    }
-
-    #[test]
-    fn bench_sweep_reports_on_off_pairs_per_loss() {
-        let doc = bench_sweep(150, &[0.1, 0.3], 2, 11);
-        let JsonValue::Array(entries) = doc else {
-            panic!("resilience bench must be an array");
-        };
-        assert_eq!(entries.len(), 4, "two losses, on and off each");
-        let text = entries[0].to_string();
-        for field in [
-            "\"loss\"",
-            "\"recovery\"",
-            "\"retries\"",
-            "\"mean_delivery_ratio\"",
-            "\"mean_outage_periods\"",
-            "\"elapsed_ms\"",
-        ] {
-            assert!(text.contains(field), "missing {field} in {text}");
-        }
     }
 }

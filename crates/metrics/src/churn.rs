@@ -37,7 +37,7 @@ pub struct ChurnBatch {
     pub verified: Option<bool>,
 }
 
-/// Aggregate of a run's [`ChurnBatch`] records.
+/// Aggregate of a run's deterministic [`ChurnBatch`] counts.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChurnSummary {
     /// Number of churn batches applied.
@@ -52,16 +52,11 @@ pub struct ChurnSummary {
     pub promoted: usize,
     /// Total demotions across the run.
     pub demoted: usize,
-    /// Total wall-clock spent in incremental repair, in milliseconds.
-    pub repair_ms: f64,
-    /// Mean wall-clock per repair, in milliseconds.
-    pub mean_repair_ms: f64,
 }
 
 impl ChurnSummary {
     /// Aggregates a run's batch records (all fields zero for an empty run).
     pub fn from_batches(batches: &[ChurnBatch]) -> Self {
-        let repair_ms: f64 = batches.iter().map(|b| b.repair_ms).sum();
         ChurnSummary {
             batches: batches.len(),
             deaths: batches.iter().map(|b| b.deaths).sum(),
@@ -69,12 +64,6 @@ impl ChurnSummary {
             evaluated: batches.iter().map(|b| b.evaluated).sum(),
             promoted: batches.iter().map(|b| b.promoted).sum(),
             demoted: batches.iter().map(|b| b.demoted).sum(),
-            repair_ms,
-            mean_repair_ms: if batches.is_empty() {
-                0.0
-            } else {
-                repair_ms / batches.len() as f64
-            },
         }
     }
 }
@@ -108,14 +97,12 @@ mod tests {
         assert_eq!(s.evaluated, 40);
         assert_eq!(s.promoted, 2);
         assert_eq!(s.demoted, 4);
-        assert!((s.repair_ms - 6.0).abs() < 1e-12);
-        assert!((s.mean_repair_ms - 3.0).abs() < 1e-12);
     }
 
     #[test]
     fn empty_summary_is_all_zero() {
         let s = ChurnSummary::from_batches(&[]);
         assert_eq!(s.batches, 0);
-        assert_eq!(s.mean_repair_ms, 0.0);
+        assert_eq!(s.evaluated, 0);
     }
 }

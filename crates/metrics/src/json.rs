@@ -1,8 +1,8 @@
 //! A minimal, deterministic JSON value tree and renderer.
 //!
 //! The build environment is offline (no `serde_json`), so the machine-readable
-//! results path — `repro --format json`, `BENCH_repro.json` — is served by
-//! this hand-rolled emitter instead. Two properties matter more than API
+//! results path — `repro --format json` and the golden snapshots it is
+//! diffed against — is served by this hand-rolled emitter instead. Two properties matter more than API
 //! breadth:
 //!
 //! * **Determinism.** Object keys render in insertion order and numbers render

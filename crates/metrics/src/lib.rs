@@ -16,7 +16,7 @@
 //! the per-period time series of Figure 5, and [`Table`] renders the aligned
 //! text/CSV tables the experiment harness prints for every figure. The
 //! [`json`] module is the deterministic JSON emitter behind
-//! `repro --format json` and the committed bench trajectory.
+//! `repro --format json`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

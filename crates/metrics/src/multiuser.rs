@@ -1,7 +1,7 @@
 //! Per-user aggregation for multi-user trials.
 //!
 //! A multi-user run produces one [`QueryLog`] per user; figures and the
-//! bench document need the per-user view (is *every* user served, not just
+//! service report need the per-user view (is *every* user served, not just
 //! the average?) plus fleet-level aggregates. This module reduces the logs
 //! to one [`UserSummary`] per user, keyed by the user's fleet index.
 

@@ -1,8 +1,8 @@
 //! Plain-text result tables (aligned console output and CSV).
 //!
 //! Every experiment runner prints one of these per figure; keeping the
-//! formatting here means the benches, the `repro` binary and the examples all
-//! produce identical output.
+//! formatting here means the `repro` binary and the examples all produce
+//! identical output.
 
 use std::fmt;
 

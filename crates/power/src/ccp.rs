@@ -167,10 +167,9 @@ pub fn elect_backbone(
 /// check re-runs a grid range query per sample point of the candidate's
 /// disk.
 ///
-/// Kept as the executable specification of the election: the `ccp_election`
-/// criterion bench and the equivalence property tests pin
-/// [`elect_backbone`]'s output byte-for-byte against this function across
-/// seeds, densities and coverage degrees.
+/// Kept as the executable specification of the election: the equivalence
+/// property tests pin [`elect_backbone`]'s output byte-for-byte against this
+/// function across seeds, densities and coverage degrees.
 pub fn elect_backbone_reference(
     positions: &[Point],
     region: Rect,

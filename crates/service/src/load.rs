@@ -244,8 +244,8 @@ pub fn run_load(
     let min_success_ratio = success_ratios
         .iter()
         .copied()
-        .fold(f64::INFINITY, f64::min)
-        .clamp(0.0, 1.0);
+        .reduce(f64::min)
+        .unwrap_or(0.0);
 
     let report = LoadReport {
         qps,
@@ -314,9 +314,10 @@ mod tests {
         );
         assert!(r.submitted > 0);
         assert!((0.0..=1.0).contains(&r.mean_success_ratio));
-        assert!(r.min_success_ratio <= r.mean_success_ratio);
+        assert!((0.0..=r.mean_success_ratio).contains(&r.min_success_ratio));
+        assert!(r.trees_built <= r.installs);
         let latency = r.latency_periods.expect("some query was served");
-        assert!(latency.p50 <= latency.p99);
+        assert!(latency.p50 <= latency.p99 && latency.p99 <= latency.max);
         assert!(latency.p50 >= 1.0, "first result is at least a period away");
         assert_eq!(
             latency.count as u64 + r.starved,
@@ -324,6 +325,16 @@ mod tests {
             "every admitted query is served or starved"
         );
         assert_eq!(outcome.query_set.len() as u64, r.submitted);
+    }
+
+    #[test]
+    fn a_load_that_admits_nothing_reports_zero_success() {
+        let outcome = run_load(small_scenario(42), 0.001, 3, TreeSharing::Shared, 1, None).unwrap();
+        let r = &outcome.report;
+        assert_eq!(r.submitted, 0, "0.001 qps over 3 periods admits no query");
+        assert_eq!(r.mean_success_ratio, 0.0);
+        assert_eq!(r.min_success_ratio, 0.0, "min must not exceed the mean");
+        assert!(r.latency_periods.is_none());
     }
 
     #[test]

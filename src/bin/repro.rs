@@ -11,24 +11,15 @@
 //! output is byte-identical whatever the job count — CI diffs `--jobs 1`
 //! against `--jobs 4` to enforce exactly that.
 
-// The bench document's `steady_allocs_per_period` needs a counting global
-// allocator, and `GlobalAlloc` is an unsafe trait; this binary is its own
-// crate root, so the allow is scoped to exactly this file.
-#![allow(unsafe_code)]
-
 use mobiquery::config::Scheme;
 use mobiquery::sim::{FaultConfig, TreeSharing};
-use mobiquery_experiments::runner::trial_seed;
 use mobiquery_experiments::{
     analysis_tables, churn, fig4, fig5, fig6, fig7, fig8, multiuser, resilience, scale,
     ExperimentConfig,
 };
 use mobiquery_service::load::run_load;
 use mobiquery_service::serve::run_serve;
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
 use wsn_metrics::JsonValue;
 use wsn_sim::pool;
 
@@ -49,10 +40,9 @@ Options:
   --jobs N           worker threads for the trial fan-out (default: all cores);
                      results are byte-identical for every N
   --users N          largest fleet of the multiuser sweep (default 8 quick /
-                     64 full); the sweep ladders up to N in powers of two, the
-                     bench multiuser ladder is capped at N, and every trial
-                     cross-checks shared flood trees against the naive
-                     one-tree-per-user reference
+                     64 full); the sweep ladders up to N in powers of two, and
+                     every trial cross-checks shared flood trees against the
+                     naive one-tree-per-user reference
   --churn-rate R     fraction of alive nodes killed (and replaced by joins) at
                      every period boundary, 0 < R < 1; required by the `churn`
                      target. Every trial repairs the backbone incrementally
@@ -67,21 +57,10 @@ Options:
                      in query periods (L >= 1, default 4)
   --format FMT       output format: text (default) or json
   --out PATH         write the output to PATH instead of stdout
-  --bench PATH       time every requested target serial (--jobs 1) vs parallel,
-                     verify both give identical results, and write the timings
-                     as JSON to PATH (the BENCH_repro.json trajectory format);
-                     not combinable with --out/--format
-  --scale N1,N2,...  with --bench: also sweep deployment sizes (e.g.
-                     1000,2000,5000,10000,20000 at constant density), timing a
-                     full run of both schemes plus an indexed-vs-linear
-                     nearest-backbone micro-comparison per size, recorded in
-                     the bench document's \"scale\" section; the largest size
-                     also hosts the shared-vs-naive multi-user tree sweep in
-                     the \"multiuser\" section and the incremental-repair
-                     \"churn\" section. With the `churn` target: the deployment
-                     sizes to churn (default 20000, quick 5000). With the
-                     `resilience` target: the deployment sizes to fault
-                     (default 10000, quick 2000)
+  --scale N1,N2,...  deployment sizes at constant node density (e.g.
+                     1000,2000,5000); only the `churn` target (default 20000,
+                     quick 5000) and the `resilience` target (default 10000,
+                     quick 2000) take it
   -h, --help         print this help and exit";
 
 const SERVICE_USAGE: &str = "usage: repro serve --periods N [service options]
@@ -144,86 +123,6 @@ struct ChurnSpec {
 struct FaultSpec {
     scales: Vec<usize>,
     config: FaultConfig,
-}
-
-/// Churn rates of the `--bench` churn section: low enough that incremental
-/// repair must beat full re-election, plus heavier rates that trace where
-/// the advantage erodes. Fixed so the committed trajectory stays comparable
-/// across bench invocations.
-const BENCH_CHURN_RATES: [f64; 3] = [0.001, 0.01, 0.05];
-
-/// Fleet size of the bench churn section (small and fixed: the section
-/// measures repair, not the multi-user economics the multiuser section owns).
-const BENCH_CHURN_USERS: usize = 4;
-
-/// Loss ladder of the `--bench` resilience section. Fixed so the committed
-/// trajectory stays comparable across bench invocations; `check_bench.py`
-/// requires recovery-on to beat recovery-off at every one of these rates.
-const BENCH_FAULT_LOSSES: [f64; 4] = [0.05, 0.1, 0.2, 0.4];
-
-/// Deployment size of the bench resilience section — fixed and independent
-/// of `--scale`, like the reference service load, so the committed
-/// degradation curve stays comparable across bench invocations.
-const BENCH_FAULT_NODES: usize = 1000;
-
-/// Fleet size of the bench resilience section.
-const BENCH_FAULT_USERS: usize = 4;
-
-/// Counts heap allocations so the bench document can prove the stepped
-/// engine's warm loop is allocation-free (the `steady_allocs_per_period`
-/// field, asserted `== 0` by `scripts/check_bench.py`). Counting is a single
-/// relaxed atomic increment over the system allocator — noise-level overhead
-/// for every other mode of the binary.
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: every method forwards verbatim to `System`, which upholds the
-// `GlobalAlloc` contract; the only addition is a relaxed counter increment,
-// which cannot affect allocation behaviour.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: `layout` is forwarded unchanged to the system allocator.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` was allocated by `System` with this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: `ptr`/`layout`/`new_size` are forwarded unchanged.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// Allocations per warm period boundary of the steady-state probe
-/// ([`mobiquery_repro::steady`]): steps every measurable warm boundary and
-/// returns the *maximum* per-boundary allocation count — the number the
-/// committed trajectory pins at exactly zero.
-fn steady_allocs_per_period() -> u64 {
-    let mut sim = mobiquery_repro::steady::warmed_sim(24, 4, 11);
-    let mut worst = 0u64;
-    while sim.next_boundary() + 2 <= sim.max_k() {
-        let before = ALLOCS.load(Ordering::Relaxed);
-        sim.step_period()
-            .expect("the steady probe steps cleanly by construction");
-        worst = worst.max(ALLOCS.load(Ordering::Relaxed) - before);
-    }
-    sim.run_to_end()
-        .expect("the steady probe steps cleanly by construction");
-    let out = sim.finish();
-    assert!(
-        out.logs.iter().all(|log| log.len() == 24),
-        "the steady probe must resolve every period"
-    );
-    worst
 }
 
 fn bad_usage() -> ExitCode {
@@ -452,140 +351,6 @@ fn results_json(
     )
 }
 
-/// The `--bench` document: per-target wall-clock, serial vs parallel, plus a
-/// determinism cross-check that both job counts produced identical results,
-/// and (when `--scale` is given) the deployment-size sweep.
-fn bench_json(
-    targets: &[String],
-    config: &ExperimentConfig,
-    scales: &[usize],
-    churn_spec: Option<&ChurnSpec>,
-    fault_spec: Option<&FaultSpec>,
-) -> Option<JsonValue> {
-    let mut figures = Vec::new();
-    for target in targets {
-        let serial_config = config.with_jobs(1);
-        let start = Instant::now();
-        let serial = target_json(target, &serial_config, churn_spec, fault_spec)?;
-        let serial_ms = start.elapsed().as_secs_f64() * 1e3;
-
-        let start = Instant::now();
-        let parallel = target_json(target, config, churn_spec, fault_spec)?;
-        let parallel_ms = start.elapsed().as_secs_f64() * 1e3;
-
-        assert_eq!(
-            serial, parallel,
-            "{target}: --jobs 1 and --jobs {} disagree",
-            config.jobs
-        );
-        eprintln!(
-            "bench {target}: serial {serial_ms:.0} ms, parallel {parallel_ms:.0} ms \
-             ({:.2}x, {} jobs)",
-            serial_ms / parallel_ms.max(1e-9),
-            config.jobs
-        );
-        figures.push(
-            JsonValue::object()
-                .with("name", target.as_str())
-                .with("serial_ms", round_ms(serial_ms))
-                .with("parallel_ms", round_ms(parallel_ms))
-                .with("speedup", round_ms(serial_ms / parallel_ms.max(1e-9))),
-        );
-    }
-    let scale = if scales.is_empty() {
-        JsonValue::Array(Vec::new())
-    } else {
-        scale::run(scales, config.base_seed)
-    };
-    // The shared-vs-naive tree sweep rides on the largest requested scale:
-    // that is where the one-tree-per-user baseline hurts most and where the
-    // committed trajectory must show trees_built(shared) < trees_built(naive).
-    let multiuser = match scales.iter().max() {
-        None => JsonValue::Array(Vec::new()),
-        Some(&nodes) => {
-            // `--users` is the documented fleet ceiling: drop the ladder's
-            // fixed rungs above it instead of silently simulating a fleet
-            // the user asked not to pay for.
-            let mut ladder: Vec<usize> = [1, 10, 100, config.users]
-                .into_iter()
-                .filter(|&u| u >= 1 && u <= config.users)
-                .collect();
-            ladder.sort_unstable();
-            ladder.dedup();
-            let base_seed = config.base_seed;
-            multiuser::bench_sweep(
-                |point| {
-                    scale::scale_scenario(
-                        nodes,
-                        mobiquery::config::Scheme::JustInTime,
-                        trial_seed(base_seed, point as usize, 0),
-                    )
-                },
-                &ladder,
-            )
-        }
-    };
-    // The incremental-repair section rides on the largest requested scale
-    // too: that is where full re-election hurts most and where the committed
-    // trajectory must show mean_repair_ms ≪ full_ccp_ms at low rates.
-    let churn_section = match scales.iter().max() {
-        None => JsonValue::Array(Vec::new()),
-        Some(&nodes) => churn::bench_sweep(
-            nodes,
-            &BENCH_CHURN_RATES,
-            BENCH_CHURN_USERS,
-            config.base_seed,
-        ),
-    };
-    // The zero-alloc proof is a scale-independent fixture.
-    let steady_allocs = steady_allocs_per_period();
-    eprintln!("steady state: {steady_allocs} allocations per warm period");
-    // The fixed reference load of the bench trajectory: 4 queries/s for 40
-    // periods against a 1000-node deployment, through the stepped service
-    // engine. Scale-independent of --scale so the committed numbers stay
-    // comparable across bench invocations.
-    let service = {
-        let scenario = scale::scale_scenario(1000, Scheme::JustInTime, config.base_seed);
-        run_load(scenario, 4.0, 40, TreeSharing::Shared, 1, None)
-            .expect("the reference service load must run")
-            .report
-            .to_json()
-    };
-    // The resilience degradation curve: a fixed 1000-node deployment under
-    // the fixed loss ladder, recovery on vs off on identical schedules.
-    // `check_bench.py` holds recovery-on to strictly higher mean delivery at
-    // every nonzero loss — the whole point of the retry/repair machinery.
-    let resilience_section = resilience::bench_sweep(
-        BENCH_FAULT_NODES,
-        &BENCH_FAULT_LOSSES,
-        BENCH_FAULT_USERS,
-        config.base_seed,
-    );
-    Some(
-        JsonValue::object()
-            .with("schema", "mobiquery-repro/bench/v9")
-            .with("mode", if config.quick { "quick" } else { "full" })
-            .with("runs", config.runs)
-            .with("users", config.users)
-            // Per-figure speedup numbers are only interpretable relative to
-            // the host: on a 1-core container the parallel path is pure
-            // overhead and speedup < 1 is expected.
-            .with("host_cores", pool::available_jobs())
-            .with("parallel_jobs", config.jobs)
-            .with("figures", figures)
-            .with("steady_allocs_per_period", steady_allocs)
-            .with("scale", scale)
-            .with("multiuser", multiuser)
-            .with("churn", churn_section)
-            .with("service", service)
-            .with("resilience", resilience_section),
-    )
-}
-
-fn round_ms(v: f64) -> f64 {
-    (v * 100.0).round() / 100.0
-}
-
 fn emit(content: &str, out_path: Option<&str>) -> ExitCode {
     match out_path {
         None => {
@@ -607,9 +372,8 @@ fn main() -> ExitCode {
     let mut runs: Option<u64> = None;
     let mut jobs: Option<usize> = None;
     let mut users: Option<usize> = None;
-    let mut format: Option<Format> = None;
+    let mut format = Format::Text;
     let mut out_path: Option<String> = None;
-    let mut bench_path: Option<String> = None;
     let mut scales: Vec<usize> = Vec::new();
     let mut churn_rate: Option<f64> = None;
     let mut fault_loss: Option<f64> = None;
@@ -639,16 +403,12 @@ fn main() -> ExitCode {
                 _ => return bad_usage(),
             },
             "--format" => match args.next().as_deref() {
-                Some("text") => format = Some(Format::Text),
-                Some("json") => format = Some(Format::Json),
+                Some("text") => format = Format::Text,
+                Some("json") => format = Format::Json,
                 _ => return bad_usage(),
             },
             "--out" => match args.next() {
                 Some(path) => out_path = Some(path),
-                None => return bad_usage(),
-            },
-            "--bench" => match args.next() {
-                Some(path) => bench_path = Some(path),
                 None => return bad_usage(),
             },
             "--churn-rate" => match args.next().and_then(|v| v.parse::<f64>().ok()) {
@@ -755,35 +515,12 @@ fn main() -> ExitCode {
             config,
         }
     });
-
-    if let Some(path) = bench_path {
-        // --bench is its own output mode: it writes the timing document to
-        // its PATH and nothing else, so combining it with --out/--format
-        // would silently drop those — reject instead.
-        if out_path.is_some() || format.is_some() {
-            eprintln!("repro: --bench cannot be combined with --out or --format\n");
-            return bad_usage();
-        }
-        let Some(doc) = bench_json(
-            &expanded,
-            &config,
-            &scales,
-            churn_spec.as_ref(),
-            fault_spec.as_ref(),
-        ) else {
-            return bad_usage();
-        };
-        return emit(&doc.to_pretty_string(), Some(&path));
-    }
     if !scales.is_empty() && !churn_requested && !resilience_requested {
-        eprintln!(
-            "repro: --scale requires --bench, the churn target or the resilience target \
-             (the sweep lands in the bench document)\n"
-        );
+        eprintln!("repro: --scale applies only to the churn and resilience targets\n");
         return bad_usage();
     }
 
-    let content = match format.unwrap_or(Format::Text) {
+    let content = match format {
         Format::Json => {
             match results_json(&expanded, &config, churn_spec.as_ref(), fault_spec.as_ref()) {
                 Some(doc) => doc.to_pretty_string(),

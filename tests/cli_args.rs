@@ -78,16 +78,25 @@ fn malformed_jobs_are_usage_errors() {
 
 #[test]
 fn malformed_scale_lists_are_usage_errors() {
-    assert_usage_failure(&["--bench", "/dev/null", "--scale", "", "fig4"]);
-    assert_usage_failure(&["--bench", "/dev/null", "--scale", "1000,,2000", "fig4"]);
-    assert_usage_failure(&["--bench", "/dev/null", "--scale", "1000,0", "fig4"]);
-    assert_usage_failure(&["--bench", "/dev/null", "--scale", "abc", "fig4"]);
-    assert_usage_failure(&["--bench", "/dev/null", "--scale"]);
+    for list in ["", "1000,,2000", "1000,0", "abc", "10,abc", "0"] {
+        assert_usage_failure(&["--churn-rate", "0.05", "--scale", list, "churn"]);
+    }
+    assert_usage_failure(&["--churn-rate", "0.05", "--scale"]);
+    // Only the churn and resilience targets take deployment sizes.
+    assert_usage_failure(&["--scale", "1000", "fig4"]);
+    let out = repro(&["--scale", "1000", "fig4"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("churn and resilience"),
+        "the error must name the targets that take --scale, got:\n{stderr}"
+    );
 }
 
 #[test]
 fn unknown_flags_and_targets_are_usage_errors() {
     assert_usage_failure(&["--frobnicate", "fig4"]);
+    // The retired timing mode is an unknown option like any other.
+    assert_usage_failure(&["--bench", "x", "fig4"]);
     assert_usage_failure(&["fig9"]);
     assert_usage_failure(&["--format", "xml", "fig4"]);
 }
@@ -116,15 +125,6 @@ fn churn_target_requires_a_rate() {
         stderr.contains("--churn-rate"),
         "the error must name the missing flag, got:\n{stderr}"
     );
-}
-
-#[test]
-fn churn_scale_lists_are_validated_like_bench_ones() {
-    assert_usage_failure(&["--churn-rate", "0.05", "--scale", "10,abc", "churn"]);
-    assert_usage_failure(&["--churn-rate", "0.05", "--scale", "0", "churn"]);
-    assert_usage_failure(&["--churn-rate", "0.05", "--scale", "", "churn"]);
-    // --scale without --bench still needs the churn target to make sense.
-    assert_usage_failure(&["--scale", "1000", "fig4"]);
 }
 
 #[test]

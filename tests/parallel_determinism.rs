@@ -4,7 +4,10 @@
 //! JSON output byte-for-byte against `--jobs 1`.
 
 use mobiquery_repro::experiments::runner::trial_seed;
-use mobiquery_repro::experiments::{fig4, fig8, multiuser, ExperimentConfig};
+use mobiquery_repro::experiments::{
+    analysis_tables, fig4, fig5, fig6, fig7, fig8, multiuser, ExperimentConfig,
+};
+use mobiquery_repro::metrics::JsonValue;
 use mobiquery_repro::sim::pool;
 use std::process::Command;
 
@@ -24,6 +27,25 @@ fn fig8_json_is_identical_serial_and_parallel() {
     let serial = fig8::run_json(&ExperimentConfig::quick().with_jobs(1));
     let parallel = fig8::run_json(&ExperimentConfig::quick().with_jobs(3));
     assert_eq!(serial.to_pretty_string(), parallel.to_pretty_string());
+}
+
+/// Renders one target serially and on four workers; the bytes must match.
+fn assert_json_jobs_invariant(name: &str, run_json: impl Fn(&ExperimentConfig) -> JsonValue) {
+    let serial = run_json(&ExperimentConfig::quick().with_jobs(1));
+    let parallel = run_json(&ExperimentConfig::quick().with_jobs(4));
+    assert_eq!(
+        serial.to_pretty_string(),
+        parallel.to_pretty_string(),
+        "{name}: --jobs 1 and --jobs 4 disagree"
+    );
+}
+
+#[test]
+fn fig5_fig6_fig7_and_analysis_json_are_identical_serial_and_parallel() {
+    assert_json_jobs_invariant("fig5", fig5::run_json);
+    assert_json_jobs_invariant("fig6", fig6::run_json);
+    assert_json_jobs_invariant("fig7", fig7::run_json);
+    assert_json_jobs_invariant("analysis", |config| analysis_tables::run_json(config.jobs));
 }
 
 #[test]
@@ -67,7 +89,7 @@ fn multiuser_binary_is_jobs_invariant_at_64_users() {
 
 #[test]
 fn trial_seeds_are_stable_across_releases() {
-    // The committed BENCH/results artifacts depend on the seed derivation;
+    // The committed golden snapshots depend on the seed derivation;
     // pin a few values so an accidental change to the mixer is caught here
     // rather than as a mysterious CI diff.
     assert_eq!(trial_seed(42, 0, 0), 13675133952202209295);
